@@ -634,9 +634,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _cmd_serve_fleet(args)
     manager = manager_from_args(args)
+
+    async def serve() -> None:
+        import signal as signal_module
+
+        # SIGTERM takes SIGINT's path: the serving task is cancelled
+        # and the finally below drains the manager and the store.
+        asyncio.get_running_loop().add_signal_handler(
+            signal_module.SIGTERM, asyncio.current_task().cancel
+        )
+        await run_server(ServiceApp(manager), args.host, args.port)
+
     try:
-        asyncio.run(run_server(ServiceApp(manager), args.host, args.port))
-    except KeyboardInterrupt:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("\nshutting down")
     finally:
         # The CLI created the manager (and through it the store), so it

@@ -34,6 +34,7 @@ __all__ = [
     "pack_masks",
     "unpack_row",
     "unique_rows",
+    "row_keys",
     "popcounts",
     "subset_of_row",
     "rows_subset_of",
@@ -95,6 +96,21 @@ def unique_rows(
     each unique row (``np.unique`` sorts stably when indices are asked
     for).
     """
+    _, first_indices, inverse, counts = np.unique(
+        row_keys(rows),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return rows[first_indices], first_indices, inverse, counts
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One flat integer key per packed row, equal iff the rows are equal.
+
+    A single-word row is its own key; wider rows are folded column by
+    column into dense codes (each fold a 1-D ``np.unique``).
+    """
     codes = rows[:, 0]
     for word in range(1, rows.shape[1]):
         uniques, codes = np.unique(codes, return_inverse=True)
@@ -104,10 +120,7 @@ def unique_rows(
             rows[:, word], return_inverse=True
         )
         codes = codes.astype(np.int64) * len(column_uniques) + column_codes
-    _, first_indices, inverse, counts = np.unique(
-        codes, return_index=True, return_inverse=True, return_counts=True
-    )
-    return rows[first_indices], first_indices, inverse, counts
+    return codes
 
 
 def popcounts(packed: np.ndarray) -> np.ndarray:

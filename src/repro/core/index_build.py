@@ -9,10 +9,12 @@ that are computed independently and merged:
 
 1. a :class:`~repro.relational.source.SignatureSource` streams the rows
    (in-memory instance, CSV stream, or SQLite with SQL push-down);
-2. each shard runs the chunked packed-bitset kernel
-   (:func:`shard_signatures`) or the source's native push-down, yielding
-   the shard's distinct signatures as packed uint64 arrays — counts and
-   minimal product ordinals, never Python dicts per chunk;
+2. each shard runs the join-driven packed-bitset kernel
+   (:func:`shard_signatures`: per attribute pair, a scatter onto the
+   agreeing product positions, or a broadcast compare when they are
+   common) or the source's native push-down, yielding the shard's
+   distinct signatures as packed uint64 arrays — counts and minimal
+   product ordinals, never Python dicts per chunk;
 3. :func:`merge_shards` folds the shard histograms with one vectorised
    ``unique`` (counts sum, ordinals min, representative follows the
    minimal ordinal), and :func:`index_from_signatures` canonicalises
@@ -70,6 +72,13 @@ _CHUNK_WORDS = 1 << 20
 #: a streaming CSV would silently collapse into one monolithic block.
 _STREAM_SHARD_ROWS = 4096
 
+#: An attribute pair agreeing at more than ``1/_SCATTER_MAX_SHARE`` of a
+#: chunk's product positions sets its bit by a broadcast compare over
+#: the chunk; a rarer pair scatters its bit onto the agreeing positions
+#: only.  Past this share the scatter's index arithmetic per match costs
+#: more than one compare per position.
+_SCATTER_MAX_SHARE = 8
+
 ProgressCallback = Callable[[int, "int | None"], None]
 
 
@@ -123,20 +132,165 @@ def _fold(
     return unique, summed, minimal, winners
 
 
+@dataclass(frozen=True, slots=True)
+class _RightLookup:
+    """Where each value code sits in each right column.
+
+    ``order[j]`` lists the right rows sorted by their code in column
+    ``j``.  ``values[j]`` holds the column's distinct codes in
+    ascending order, closed by a sentinel above every code; the rows
+    holding ``values[j][k]`` are
+    ``order[j, starts[j][k] : starts[j][k] + counts[j][k]]``, and the
+    sentinel counts zero.  Indexed by each column's own values rather
+    than by global code, so it costs ``O(m·|P|)`` however many values
+    the shared codec holds.  Built once per build — the right side is
+    fixed while left blocks stream past.
+    """
+
+    order: np.ndarray  # (m, n_right) int64
+    values: tuple[np.ndarray, ...]
+    starts: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, right_codes: np.ndarray) -> "_RightLookup":
+        sentinel = np.iinfo(np.int64).max
+        values, starts, counts = [], [], []
+        for column in right_codes.T:
+            distinct, lengths = np.unique(column, return_counts=True)
+            lengths = np.append(lengths, 0)
+            values.append(np.append(distinct, sentinel))
+            starts.append(np.cumsum(lengths) - lengths)
+            counts.append(lengths)
+        order = np.argsort(right_codes.T, axis=1, kind="stable")
+        return cls(order, tuple(values), tuple(starts), tuple(counts))
+
+    def runs(
+        self, j: int, codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """For each of ``codes``: how many rows of right column ``j``
+        hold it, and where their run starts in ``order[j]``."""
+        values = self.values[j]
+        local = np.searchsorted(values, codes)
+        return (
+            np.where(values[local] == codes, self.counts[j][local], 0),
+            self.starts[j][local],
+        )
+
+
+def _chunk_words(
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
+    lookup: _RightLookup,
+    n_words: int,
+) -> np.ndarray:
+    """Packed signature words of ``left_codes`` × all right rows, in
+    product order (left-major).
+
+    Each attribute pair first counts its exact matches by binary search
+    in the right column's distinct values.  A pair agreeing at more than
+    ``1/_SCATTER_MAX_SHARE`` of the positions (constant, boolean and
+    status columns) sets its bit by a broadcast compare; rarer
+    agreement scatters the bit onto just the agreeing positions, found
+    by expanding each left row's run in ``lookup.order``.
+    """
+    chunk, n = left_codes.shape
+    n_right, m = right_codes.shape
+    size = chunk * n_right
+    words = np.zeros((size, n_words), dtype=np.uint64)
+    row_base = np.arange(chunk, dtype=np.int64) * n_right
+    for i in range(n):
+        for j in range(m):
+            matches, starts = lookup.runs(j, left_codes[:, i])
+            total = int(matches.sum())
+            if total == 0:
+                continue
+            word_index, bit = divmod(i * m + j, bitset.WORD_BITS)
+            target = words[:, word_index]
+            if total * _SCATTER_MAX_SHARE > size:
+                equal = left_codes[:, i : i + 1] == right_codes[None, :, j]
+                target |= equal.reshape(size).astype(np.uint64) << np.uint64(
+                    bit
+                )
+                continue
+            # Row r's matches are order[j, starts[r] + k] for
+            # k < matches[r]; `offsets` turns a running match number
+            # into that position of `order[j]`.
+            ends = np.cumsum(matches)
+            offsets = np.repeat(starts - ends + matches, matches)
+            partners = lookup.order[j, np.arange(total) + offsets]
+            target[np.repeat(row_base, matches) + partners] |= np.uint64(
+                1 << bit
+            )
+    return words
+
+
+def _distinct_rows(
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` with their counts and minimal
+    positions.
+
+    Unlike :func:`~repro.core.bitset.unique_rows` this skips the
+    inverse and sorts unstably: the minimum over each run of equal keys
+    recovers the first position a stable sort would have given.
+    """
+    keys = bitset.row_keys(rows)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    first = np.minimum.reduceat(order, starts)
+    return rows[first], np.diff(starts, append=len(keys)), first
+
+
+def _chunk_histogram(
+    words: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``words`` with their counts and first
+    positions, sorting only the non-empty rows.
+
+    The empty signature needs no sort: its count is whatever the
+    non-empty rows leave over, and its first position is the first
+    all-zero row.
+    """
+    n_words = words.shape[1]
+    nonempty = words[:, 0] != 0 if n_words == 1 else words.any(axis=1)
+    positions = np.flatnonzero(nonempty)
+    if len(positions) == len(words):
+        return _distinct_rows(words)
+    empty_words = np.zeros((1, n_words), dtype=np.uint64)
+    empty_count = np.array([len(words) - len(positions)], dtype=np.int64)
+    first_empty = np.array([np.argmin(nonempty)], dtype=np.int64)
+    if len(positions) == 0:
+        return empty_words, empty_count, first_empty
+    unique, counts, first = _distinct_rows(words[positions])
+    return (
+        np.concatenate([empty_words, unique]),
+        np.concatenate([empty_count, counts]),
+        np.concatenate([first_empty, positions[first]]),
+    )
+
+
 def shard_signatures(
     left_codes: np.ndarray,
     right_codes: np.ndarray,
     left_rows: Sequence[Row],
     right_rows: Sequence[Row],
     start_row: int,
+    lookup: _RightLookup | None = None,
 ) -> ShardSignatures:
     """Signatures of left rows ``start_row .. start_row+len(left_rows)``
-    against all right rows, via the chunked packed-bitset kernel.
+    against all right rows, via the join-driven packed-bitset kernel.
 
     ``left_codes``/``right_codes`` must come from one shared
     :class:`~repro.core.signatures.ValueCodec` so code equality means
-    value equality across the whole build.  Peak memory is one chunk of
-    packed words (~8 MiB), not the shard's slice of the product.
+    value equality across the whole build.  ``lookup`` is the right
+    side's code lookup, built once per build by :class:`IndexBuilder`
+    (and here when omitted); like ``right_codes`` it is ``O(m·|P|)``.
+    Beyond those, peak memory is one chunk of packed words (~8 MiB),
+    not the shard's slice of the product.
     """
     shard_rows = left_codes.shape[0]
     n = left_codes.shape[1]
@@ -144,6 +298,8 @@ def shard_signatures(
     n_words = bitset.words_needed(max(1, n * m))
     if shard_rows == 0 or n_right == 0:
         return ShardSignatures.empty(n_words)
+    if lookup is None:
+        lookup = _RightLookup.of(right_codes)
     rows_per_chunk = max(1, _CHUNK_WORDS // (n_right * n_words))
 
     chunk_words: list[np.ndarray] = []
@@ -151,25 +307,19 @@ def shard_signatures(
     chunk_ordinals: list[np.ndarray] = []
     for chunk_start in range(0, shard_rows, rows_per_chunk):
         chunk_stop = min(chunk_start + rows_per_chunk, shard_rows)
-        chunk = chunk_stop - chunk_start
-        words = np.zeros((chunk * n_right, n_words), dtype=np.uint64)
-        for i in range(n):
-            column_left = left_codes[chunk_start:chunk_stop, i : i + 1]
-            for j in range(m):
-                position = i * m + j
-                word_index, bit = divmod(position, bitset.WORD_BITS)
-                equal = column_left == right_codes[None, :, j].reshape(
-                    1, n_right
-                )
-                words[:, word_index] |= equal.reshape(
-                    chunk * n_right
-                ).astype(np.uint64) << np.uint64(bit)
-        unique, first_indices, _, counts = bitset.unique_rows(words)
+        unique, counts, first = _chunk_histogram(
+            _chunk_words(
+                left_codes[chunk_start:chunk_stop],
+                right_codes,
+                lookup,
+                n_words,
+            )
+        )
         chunk_words.append(unique)
-        chunk_counts.append(counts.astype(np.int64, copy=False))
+        chunk_counts.append(counts)
         chunk_ordinals.append(
             (start_row + chunk_start) * n_right
-            + first_indices.astype(np.int64, copy=False)
+            + first.astype(np.int64, copy=False)
         )
 
     words = np.concatenate(chunk_words)
@@ -339,6 +489,7 @@ class IndexBuilder:
             return {}
         codec = ValueCodec()
         right_codes = codec.encode_rows(right_rows, m)
+        lookup = _RightLookup.of(right_codes)
         left_count = source.left_count()
         shard_rows = self._plan_shard_rows(left_count)
         total = self._shards_total(left_count, shard_rows)
@@ -363,6 +514,7 @@ class IndexBuilder:
                         rows,
                         right_rows,
                         start,
+                        lookup,
                     )
                 )
         else:
@@ -380,6 +532,7 @@ class IndexBuilder:
                             rows,
                             right_rows,
                             start,
+                            lookup,
                         )
                     )
                     while len(in_flight) > self.workers:

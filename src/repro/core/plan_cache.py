@@ -1,12 +1,13 @@
 """Memoised planner score tables — the machine-wide plan cache.
 
 The lookahead strategies' entropy tables are a *pure function* of
-``(signature index, labeled-class state, depth)``: the session rng only
-breaks ties **after** scoring (see
-:meth:`~repro.core.strategies.lookahead.LookaheadSkylineStrategy.propose`),
-so two sessions at the same state over the same index compute identical
-tables — and under a shared workload most sessions traverse overlapping
-answer prefixes.  This module memoises those tables:
+``(signature index, labeled-class state, depth)``, and so is the choice
+made from them: ties go to the first class in canonical order (see
+:meth:`~repro.core.strategies.lookahead.LookaheadSkylineStrategy.propose`,
+which never reads the session rng).  Two sessions at the same state over
+the same index compute identical tables — and under a shared workload
+most sessions traverse overlapping answer prefixes.  This module
+memoises those tables:
 
 * :func:`canonical_state_key` — the identity of a scoring problem.  It
   hashes the index by *content* fingerprint and freezes the labeled
@@ -36,10 +37,10 @@ transient errors (e.g. a kernel scheduler shutting down mid-request
 computes without installing).
 
 **Determinism contract.**  A hit returns the score table only; question
-selection still runs the strategy's own tie-break over that table with
-the session's own rng, so question sequences are bit-for-bit identical
-with the cache on or off.  Returned tables are shared across sessions
-and MUST be treated as read-only.
+selection still runs the strategy's own canonical-order tie-break over
+that table, so question sequences are bit-for-bit identical with the
+cache on or off.  Returned tables are shared across sessions and MUST be
+treated as read-only.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ all-pairs test).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -92,20 +93,22 @@ class ValueCodec:
         self._codes: dict[object, int] = {}
 
     def encode_rows(self, rows: Sequence[Row], arity: int) -> np.ndarray:
-        """Encode ``rows`` as an ``(len(rows), arity)`` int64 matrix."""
+        """Encode ``rows`` as an ``(len(rows), arity)`` int64 matrix.
+
+        Unseen values get fresh codes in row-major first-occurrence
+        order.  Both passes over the cells run at C level: one
+        ``dict.fromkeys`` collects the distinct values, one ``map`` of
+        dict lookups reads the codes off.
+        """
         codes = self._codes
-
-        def code_of(value: object) -> int:
-            existing = codes.get(value)
-            if existing is not None:
-                return existing
-            fresh = len(codes)
-            codes[value] = fresh
-            return fresh
-
-        return np.array(
-            [[code_of(v) for v in row] for row in rows],
+        cells = itertools.chain.from_iterable
+        distinct = dict.fromkeys(cells(rows))
+        fresh = list(itertools.filterfalse(codes.__contains__, distinct))
+        codes.update(zip(fresh, itertools.count(len(codes))))
+        return np.fromiter(
+            map(codes.__getitem__, cells(rows)),
             dtype=np.int64,
+            count=len(rows) * arity,
         ).reshape(len(rows), arity)
 
 

@@ -50,16 +50,30 @@ from ..relational.relation import Instance, Relation
 __all__ = ["BuildStatus", "IndexCache", "instance_fingerprint"]
 
 
-def _tagged(value: object) -> list:
-    # bool before int: True == 1 in Python but the tag keeps them apart.
-    return [type(value).__name__, value]
-
-
 def _relation_payload(relation: Relation) -> dict:
+    # Cells carry their type name, so 1 and "1", and True and 1, hash
+    # apart.  A column whose cells share one type is tagged once; only
+    # a mixed column tags each cell.
+    rows = relation.rows
+    columns = list(zip(*rows))
+    types = [set(map(type, column)) for column in columns]
+    mixed = [
+        position for position, kinds in enumerate(types) if len(kinds) > 1
+    ]
+    for position in mixed:
+        columns[position] = [
+            [type(value).__name__, value] for value in columns[position]
+        ]
+    if mixed:
+        rows = list(zip(*columns))
     return {
         "name": relation.name,
         "attributes": [attr.name for attr in relation.schema],
-        "rows": [[_tagged(v) for v in row] for row in relation.rows],
+        "types": [
+            next(iter(kinds)).__name__ if len(kinds) == 1 else None
+            for kinds in types
+        ],
+        "rows": rows,
     }
 
 

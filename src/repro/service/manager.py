@@ -342,9 +342,10 @@ class SessionManager:
         #: Machine-wide plan cache (None when disabled): memoised
         #: entropy tables keyed by canonical state key, consulted by the
         #: entropy router before any kernel runs and written through
-        #: from both the per-session path and the batch scheduler.  The
-        #: rng is untouched by a hit — tie-breaking still draws from the
-        #: session's own rng over the cached score vector — so question
+        #: from both the per-session path and the batch scheduler.  A
+        #: hit supplies only the score table: the strategy still breaks
+        #: ties over it by canonical class order (the lookahead
+        #: strategies never read the session rng), so question
         #: sequences are bit-for-bit identical with the cache on or off.
         if shared_plan is not None and not plan_cache:
             raise ValueError(

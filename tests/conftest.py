@@ -8,8 +8,10 @@ through the returned namespaces.
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -17,6 +19,57 @@ import pytest
 
 from repro import Attribute, Instance, JoinPredicate, Relation
 from repro.core import SignatureIndex
+
+try:
+    import pytest_timeout  # noqa: F401
+except ImportError:
+    _TIMEOUT_FALLBACK = True
+else:
+    _TIMEOUT_FALLBACK = False
+
+#: Where a timed-out test's tracebacks go: a copy of the real stderr,
+#: taken while output capture is suspended, so the dump outlives it.
+_TIMEOUT_STDERR = pytest.StashKey[int]()
+
+
+def pytest_addoption(parser):
+    # pyproject's `timeout` is pytest-timeout's per-test ceiling.
+    # Without the plugin the key is registered here and enforced by
+    # faulthandler below, so a hung test still ends the run.
+    if _TIMEOUT_FALLBACK:
+        parser.addini(
+            "timeout",
+            "per-test ceiling in seconds (0 disables); enforced by "
+            "faulthandler when pytest-timeout is not installed",
+            default="0",
+        )
+
+
+def pytest_configure(config):
+    if _TIMEOUT_FALLBACK:
+        config.stash[_TIMEOUT_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    if _TIMEOUT_STDERR in config.stash:
+        os.close(config.stash[_TIMEOUT_STDERR])
+        del config.stash[_TIMEOUT_STDERR]
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm the fallback ceiling around a test's setup, call and
+    teardown: past it, dump every thread's traceback and exit 1."""
+    seconds = float(item.config.getini("timeout")) if _TIMEOUT_FALLBACK else 0
+    if seconds > 0:
+        faulthandler.dump_traceback_later(
+            seconds, exit=True, file=item.config.stash[_TIMEOUT_STDERR]
+        )
+    try:
+        return (yield)
+    finally:
+        if seconds > 0:
+            faulthandler.cancel_dump_traceback_later()
 
 
 def predicate_of(left: str, right: str, *pairs: tuple[str, str]) -> JoinPredicate:

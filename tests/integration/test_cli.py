@@ -1,11 +1,32 @@
-"""CLI integration tests (in-process via cli.main)."""
+"""CLI integration tests (in-process via cli.main, plus a ``serve``
+subprocess for signal handling)."""
 
 import io
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.relational import Relation, write_csv
+
+SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+SHM_DIR = Path("/dev/shm")
+
+
+def shm_segments() -> set:
+    if not SHM_DIR.is_dir():  # pragma: no cover - non-Linux
+        return set()
+    return {
+        entry.name
+        for entry in SHM_DIR.iterdir()
+        if entry.name.startswith("repro_")
+    }
 
 
 class TestParser:
@@ -187,3 +208,73 @@ class TestExperimentCommand:
         monkeypatch.setattr(cli_module, "_cmd_experiment", fake_experiment)
         assert main(["experiment", "table1"]) == 0
         assert "interactions" in capsys.readouterr().out
+
+
+class TestServeShutdown:
+    def test_sigterm_drains_manager_and_store(self, tmp_path):
+        """SIGTERM on a solo server takes SIGINT's shutdown path: exit
+        0, every acknowledged answer journaled, and every published
+        shared-memory segment unlinked."""
+        from repro.service import ServiceClient, SqliteSessionStore
+
+        db = tmp_path / "sessions.db"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        before = shm_segments()
+        server = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro", "serve",
+                "--port", "0", "--store", str(db),
+            ],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            # A timer, not a read timeout: reading blocks until the
+            # server prints its address (or dies).
+            killer = threading.Timer(60, server.kill)
+            killer.start()
+            port = None
+            for line in server.stdout:
+                port = re.search(rb"127\.0\.0\.1:(\d+)", line)
+                if port:
+                    break
+            killer.cancel()
+            assert port, "server exited before printing its address"
+            labels = []
+            with ServiceClient("127.0.0.1", int(port.group(1))) as client:
+                session_id = client.create_session(
+                    workload="synthetic/0", strategy="L2S", seed=3
+                )["session_id"]
+                for turn in range(4):
+                    question = client.next_question(session_id)
+                    if question is None:
+                        break
+                    label = "+-"[turn % 2]
+                    client.post_answer(
+                        session_id, question["question_id"], label
+                    )
+                    labels.append(label)
+            assert labels
+            server.send_signal(signal.SIGTERM)
+            server.wait(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        stderr = server.stderr.read().decode()
+        server.stdout.close()
+        server.stderr.close()
+        assert server.returncode == 0, stderr
+        assert shm_segments() - before == set()
+        store = SqliteSessionStore(str(db))
+        try:
+            stored = store.load(session_id)
+        finally:
+            store.close()
+        assert stored is not None
+        assert [label for _, label in stored.payload["labeled"]] == labels

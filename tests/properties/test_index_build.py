@@ -1,8 +1,8 @@
 """Property tests: the sharded build pipeline is bit-for-bit identical
 to the monolithic constructions.
 
-The contract under test (ISSUE 3's tentpole): for every shard size,
-worker count, and source backend,
+The contract under test: for every shard size, worker count, and source
+backend,
 
     sharded build ≡ monolithic NumPy build ≡ pure-Python reference
 
@@ -10,6 +10,15 @@ worker count, and source backend,
 weight.  Covered explicitly: shard counts {1, 2, 7, |R|}, Ω widths
 straddling the 64-bit word boundary (63/64/65), empty shards, empty
 relations, and single-row relations.
+
+The shard kernel sets each attribute pair's bit by one of two branches —
+a broadcast compare for pairs agreeing on more than
+``1/_SCATTER_MAX_SHARE`` of the product, a scatter onto the agreeing
+positions otherwise — so the random draws span value ranges where
+either dominates, and :class:`TestKernelBranches` pins instances that
+take both branches within one build.  The benchmark's own check builds
+its reference with this same kernel; these tests are what compare it
+against the pure-Python reference.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core import IndexBuilder, SignatureIndex, build_signature_index
 from repro.core.index_build import (
+    _SCATTER_MAX_SHARE,
     ShardSignatures,
     index_from_signatures,
     merge_shards,
@@ -60,6 +71,79 @@ def assert_identical(built: SignatureIndex, reference: SignatureIndex):
     assert np.array_equal(built.count_array, reference.count_array)
 
 
+def to_csv(relation: Relation) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow([a.name for a in relation.schema])
+    writer.writerows(relation.rows)
+    return buffer.getvalue()
+
+
+def kernel_branches(instance: Instance) -> set:
+    """The branches a one-chunk build of ``instance`` takes: a pair
+    agreeing on more than ``1/_SCATTER_MAX_SHARE`` of the product
+    compares, any other agreeing pair scatters."""
+    size = len(instance.left) * len(instance.right)
+    taken = set()
+    for i in range(instance.left.arity):
+        for j in range(instance.right.arity):
+            agree = sum(
+                left[i] == right[j]
+                for left in instance.left.rows
+                for right in instance.right.rows
+            )
+            if agree:
+                taken.add(
+                    "compare" if agree * _SCATTER_MAX_SHARE > size
+                    else "scatter"
+                )
+    return taken
+
+
+#: Column kinds of :func:`mixed_instance`: a unique key (half of it
+#: shared with the other side), a constant, a two-valued status column
+#: (one value shared), and a wide random column.
+_KINDS = ("key", "constant", "status", "wide")
+
+
+def cycled(arity: int) -> tuple:
+    return tuple(_KINDS[k % len(_KINDS)] for k in range(arity))
+
+
+def mixed_instance(
+    rng: random.Random,
+    left_kinds: tuple,
+    right_kinds: tuple,
+    rows: int,
+) -> Instance:
+    """An instance whose builds take both kernel branches: key and wide
+    columns scatter, constant and status columns compare."""
+
+    def cell(kind: str, row: int, side: int) -> object:
+        if kind == "key":
+            return row + side * (rows // 2)
+        if kind == "constant":
+            return "c"
+        if kind == "status":
+            return "t" if row % 2 == 0 else ("s", "u")[side]
+        return rng.randrange(60)
+
+    def relation(name: str, prefix: str, kinds: tuple, side: int):
+        return Relation.build(
+            name,
+            [f"{prefix}{k}" for k in range(1, len(kinds) + 1)],
+            [
+                tuple(cell(kind, row, side) for kind in kinds)
+                for row in range(rows)
+            ],
+        )
+
+    return Instance(
+        relation("R", "A", left_kinds, 0),
+        relation("P", "B", right_kinds, 1),
+    )
+
+
 def shard_row_choices(n_rows: int) -> list:
     """Shard sizes realising shard counts {1, 2, 7, |R|} (plus auto)."""
     counts = {1, 2, 7, max(1, n_rows)}
@@ -78,8 +162,8 @@ class TestShardedEqualsMonolithic:
             rng,
             left_arity=data.draw(st.integers(1, 3)),
             right_arity=data.draw(st.integers(1, 3)),
-            rows=data.draw(st.integers(1, 30)),
-            values=data.draw(st.integers(1, 6)),
+            rows=data.draw(st.integers(1, 60)),
+            values=data.draw(st.integers(1, 60)),
         )
         reference = SignatureIndex(instance, backend="python")
         monolithic = SignatureIndex(instance, backend="numpy")
@@ -147,6 +231,153 @@ class TestShardedEqualsMonolithic:
         )
 
 
+class TestKernelBranches:
+    """Fixed instances whose builds take the compare and the scatter
+    branch within one build, each equal to the pure-Python reference."""
+
+    #: Left and right column kinds: with a constant column on both
+    #: sides no product position is empty; without one, many are.
+    CASES = {
+        "no_empty_positions": (
+            ("key", "constant", "status"),
+            ("key", "constant", "status"),
+        ),
+        "with_empty_positions": (
+            ("key", "constant", "status"),
+            ("key", "status", "wide"),
+        ),
+    }
+
+    @pytest.mark.parametrize("rows", [40, 97])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_key_constant_and_status_columns(self, case, rows):
+        left_kinds, right_kinds = self.CASES[case]
+        instance = mixed_instance(
+            random.Random(rows), left_kinds, right_kinds, rows
+        )
+        assert kernel_branches(instance) == {"compare", "scatter"}
+        reference = SignatureIndex(instance, backend="python")
+        for shard_rows in shard_row_choices(len(instance.left)):
+            for workers in (1, 2):
+                built = IndexBuilder(
+                    shard_rows=shard_rows, workers=workers
+                ).build(instance)
+                assert_identical(built, reference)
+
+    def test_values_present_on_one_side_only(self):
+        """Left-only values (coded past every right code), right-only
+        values, and values equal across types (1, True, 1.0) but not
+        "1"."""
+        rng = random.Random(17)
+        left = Relation.build(
+            "R",
+            ["A1", "A2", "A3"],
+            [
+                (
+                    rng.randrange(0, 40),
+                    "c",
+                    rng.choice([1, True, 1.0, "1", 2]),
+                )
+                for _ in range(50)
+            ],
+        )
+        right = Relation.build(
+            "P",
+            ["B1", "B2"],
+            [
+                (rng.randrange(30, 70), rng.choice(["c", "d", 1]))
+                for _ in range(50)
+            ],
+        )
+        instance = Instance(left, right)
+        assert kernel_branches(instance) == {"compare", "scatter"}
+        reference = SignatureIndex(instance, backend="python")
+        for shard_rows in (None, 1, 9):
+            for workers in (1, 2):
+                built = IndexBuilder(
+                    shard_rows=shard_rows, workers=workers
+                ).build(instance)
+                assert_identical(built, reference)
+
+    @pytest.mark.parametrize(
+        "left_arity,right_arity",
+        [(7, 9), (8, 8), (5, 13)],  # |Ω| = 63 / 64 / 65
+    )
+    def test_omega_straddles_word_boundary(self, left_arity, right_arity):
+        instance = mixed_instance(
+            random.Random(left_arity),
+            cycled(left_arity),
+            cycled(right_arity),
+            rows=24,
+        )
+        assert len(instance.omega) in (63, 64, 65)
+        assert kernel_branches(instance) == {"compare", "scatter"}
+        reference = SignatureIndex(instance, backend="python")
+        for shard_rows in (None, 1, 5):
+            for workers in (1, 2):
+                built = IndexBuilder(
+                    shard_rows=shard_rows, workers=workers
+                ).build(instance)
+                assert_identical(built, reference)
+
+    def test_streaming_csv_source(self):
+        instance = mixed_instance(
+            random.Random(5),
+            ("key", "constant", "status"),
+            ("key", "status", "wide"),
+            rows=60,
+        )
+        # CSV carries no types: the reference is the all-string data.
+        left, right = (
+            Relation.build(
+                relation.name,
+                [a.name for a in relation.schema],
+                [tuple(map(str, row)) for row in relation.rows],
+            )
+            for relation in (instance.left, instance.right)
+        )
+        strings = Instance(left, right)
+        assert kernel_branches(strings) == {"compare", "scatter"}
+        reference = SignatureIndex(strings, backend="python")
+        for shard_rows in (None, 7, 60):
+            source = CsvSource.from_text(
+                to_csv(left), to_csv(right), "R", "P"
+            )
+            built = IndexBuilder(shard_rows=shard_rows, workers=2).build(
+                source
+            )
+            assert_identical(built, reference)
+
+    def test_wide_distinct_right_side_keeps_memory_linear(self):
+        """Twelve right columns of distinct values: the shared codec holds
+        ``12·|P|`` codes, yet the build's peak stays within the codec's own
+        footprint plus a few copies of the right side's codes — a lookup
+        indexed by global code would cost ``12 × 12·|P|`` slots."""
+        width, n_rows = 12, 2000
+        right = Relation.build(
+            "P",
+            [f"B{j}" for j in range(width)],
+            [
+                tuple(row * width + j for j in range(width))
+                for row in range(n_rows)
+            ],
+        )
+        left = Relation.build("R", ["A1", "A2", "A3"], [(5, 7, -1)])
+        instance = Instance(left, right)
+        codes_bytes = n_rows * width * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            ValueCodec().encode_rows(right.rows, width)
+            _, encode_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            built = IndexBuilder().build(instance)
+            _, build_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= encode_peak + 6 * codes_bytes
+        assert_identical(built, SignatureIndex(instance, backend="python"))
+
+
 class TestMergeInvariants:
     def test_merge_of_empty_shard_list(self):
         merged = merge_shards([], n_words=2)
@@ -212,12 +443,13 @@ class TestSourceBackendsAgree:
     @given(st.data())
     def test_csv_stream_equals_monolithic(self, data):
         rng = random.Random(data.draw(st.integers(0, 10_000)))
-        rows = data.draw(st.integers(0, 25))
+        rows = data.draw(st.integers(0, 60))
+        values = data.draw(st.integers(1, 60))
         left = Relation.build(
             "R",
             ["A1", "A2"],
             [
-                (str(rng.randrange(4)), str(rng.randrange(3)))
+                (str(rng.randrange(values)), str(rng.randrange(3)))
                 for _ in range(rows)
             ],
         )
@@ -225,19 +457,11 @@ class TestSourceBackendsAgree:
             "P",
             ["B1", "B2", "B3"],
             [
-                tuple(str(rng.randrange(4)) for _ in range(3))
+                tuple(str(rng.randrange(values)) for _ in range(3))
                 for _ in range(max(1, rows // 2))
             ],
         )
         instance = Instance(left, right)
-
-        def to_csv(relation):
-            buffer = io.StringIO()
-            writer = csv.writer(buffer)
-            writer.writerow([a.name for a in relation.schema])
-            writer.writerows(relation.rows)
-            return buffer.getvalue()
-
         source = CsvSource.from_text(
             to_csv(left), to_csv(right), "R", "P"
         )

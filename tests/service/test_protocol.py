@@ -153,6 +153,36 @@ class TestIndexCache:
             int_inst
         )
 
+    def test_mixed_column_cells_distinguished(self):
+        """A column holding both 1 and "1" tags each cell: which row
+        holds which type still changes the hash, and the mixed column
+        never collides with a uniformly typed one."""
+
+        def instance(*cells):
+            return Instance(
+                Relation.build(
+                    "R", ["A1", "A2"], [(cell, i) for i, cell in enumerate(cells)]
+                ),
+                Relation.build("P", ["B1"], [(1,)]),
+            )
+
+        mixed = instance(1, "1")
+        assert instance_fingerprint(mixed) == instance_fingerprint(
+            instance(1, "1")
+        )
+        assert instance_fingerprint(mixed) != instance_fingerprint(
+            instance("1", 1)
+        )
+        assert instance_fingerprint(mixed) != instance_fingerprint(
+            instance(1, 1)
+        )
+        assert instance_fingerprint(mixed) != instance_fingerprint(
+            instance("1", "1")
+        )
+        assert instance_fingerprint(instance(True, 1)) != instance_fingerprint(
+            instance(1, 1)
+        )
+
     def test_lru_eviction(self):
         cache = IndexCache(capacity=2)
         cache.get_or_build(small_instance(1))
