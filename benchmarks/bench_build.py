@@ -1,25 +1,26 @@
 """Index-build pipeline benchmark harness — emits ``BENCH_build.json``.
 
-Measures what ``bench_core.py`` cannot: the sharded build pipeline of
-``core/index_build.py`` against the monolithic single-shard construction
-(the pre-pipeline behaviour, still available as the ``SignatureIndex``
-constructor), on the **largest Figure 7 configuration** ``(3,3,l,100)``
-scaled up so the product exceeds 10⁶ tuples:
+Measures what ``bench_core.py`` cannot: the build pipeline of
+``core/index_build.py`` — the one signature kernel, which the
+``SignatureIndex(backend="numpy")`` constructor runs as a single shard —
+on the **largest Figure 7 configuration** ``(3,3,l,100)`` scaled up so
+the product exceeds 10⁶ tuples:
 
-* ``shard_scaling``  — wall-clock of the builder at shard/worker counts
-                       {1, 2, 4, 8} vs the monolithic build.  Shards cut
-                       the per-unique sort size (wins even on one core)
-                       and fan out over GIL-releasing NumPy kernels on
-                       multi-core machines;
+* ``shard_scaling``  — wall-clock of the builder at shard counts
+                       {1, 2, 4, 8}, shards run one after another
+                       (informational: what sharding costs);
 * ``streaming_csv``  — tracemalloc peak (a portable RSS proxy) of a
                        streaming :class:`CsvSource` build vs reading the
-                       CSV into memory and building monolithically —
-                       the bounded-memory story for products ≫ 10⁷;
-* ``sqlite_pushdown`` — the same product built entirely inside SQLite
-                       (informational: how the SQL backend compares).
+                       CSV into memory and building in one shard — the
+                       bounded-memory story for products ≫ 10⁷, and the
+                       one gate;
+* ``sqlite_source``  — the same product loaded from SQLite tables and
+                       built (informational).
 
 Every cell asserts bit-for-bit parity (masks, counts, representatives,
-maximal set) before timings are trusted.
+maximal set) against the single-shard build before timings are trusted;
+``tests/properties/test_index_build.py`` pins that build to the
+pure-Python reference.
 
 Usage::
 
@@ -86,26 +87,14 @@ def _traced_peak(fn):
     return result, peak
 
 
-def bench_shard_scaling(instance: Instance, repeats: int) -> list[dict]:
-    reference = SignatureIndex(instance, backend="numpy")
+def bench_shard_scaling(
+    instance: Instance, repeats: int, reference: SignatureIndex
+) -> list[dict]:
     n_rows = len(instance.left)
-    cells = [
-        {
-            "name": "monolithic",
-            "shards": 1,
-            "workers": 1,
-            "seconds": round(
-                _best_of(
-                    repeats,
-                    lambda: SignatureIndex(instance, backend="numpy"),
-                ),
-                6,
-            ),
-        }
-    ]
+    cells = []
     for count in SHARD_COUNTS:
         shard_rows = None if count == 1 else ceil(n_rows / count)
-        builder = IndexBuilder(shard_rows=shard_rows, workers=count)
+        builder = IndexBuilder(shard_rows=shard_rows)
         _assert_parity(
             builder.build(instance), reference, f"shards={count}"
         )
@@ -113,7 +102,6 @@ def bench_shard_scaling(instance: Instance, repeats: int) -> list[dict]:
             {
                 "name": f"builder_shards_{count}",
                 "shards": count,
-                "workers": count,
                 "seconds": round(
                     _best_of(repeats, lambda: builder.build(instance)), 6
                 ),
@@ -151,24 +139,20 @@ def bench_streaming_csv(
     }
 
 
-def bench_sqlite_pushdown(
-    instance: Instance, repeats: int, shard_rows: int
+def bench_sqlite_source(
+    instance: Instance, repeats: int, reference: SignatureIndex
 ) -> dict:
+    """Load both tables from SQLite and build, timed together."""
     conn = sqlite_backend.connect_memory()
     sqlite_backend.store_instance(conn, instance)
-    source = SqliteSource(conn, instance.left.name, instance.right.name)
-    builder = IndexBuilder(shard_rows=shard_rows)
-    _assert_parity(
-        builder.build(source),
-        SignatureIndex(source.instance(), backend="numpy"),
-        "sqlite push-down",
-    )
-    return {
-        "shard_rows": shard_rows,
-        "seconds": round(
-            _best_of(repeats, lambda: builder.build(source)), 6
-        ),
-    }
+
+    def build():
+        return IndexBuilder().build(
+            SqliteSource(conn, instance.left.name, instance.right.name)
+        )
+
+    _assert_parity(build(), reference, "sqlite source")
+    return {"seconds": round(_best_of(repeats, build), 6)}
 
 
 def run_benchmarks(smoke: bool = False) -> dict:
@@ -181,48 +165,31 @@ def run_benchmarks(smoke: bool = False) -> dict:
         flush=True,
     )
 
-    scaling = bench_shard_scaling(instance, repeats)
+    reference = SignatureIndex(instance, backend="numpy")
+    scaling = bench_shard_scaling(instance, repeats, reference)
     print("[bench] shard scaling done", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         streaming = bench_streaming_csv(
             instance, Path(tmp), shard_rows=128
         )
     print("[bench] streaming CSV done", flush=True)
-    sqlite_cell = bench_sqlite_pushdown(
-        instance, repeats, shard_rows=max(1, rows // 4)
-    )
-    print("[bench] sqlite push-down done", flush=True)
+    sqlite_cell = bench_sqlite_source(instance, repeats, reference)
+    print("[bench] sqlite source done", flush=True)
 
-    single_shard = next(
-        cell for cell in scaling if cell["name"] == "monolithic"
-    )["seconds"]
-    multiworker = [cell for cell in scaling if cell["shards"] > 1]
-    best = min(multiworker, key=lambda cell: cell["seconds"])
     return {
         "meta": bench_meta(
             numpy=np.__version__,
             smoke=smoke,
             workload=f"fig7-largest{config.label}",
             product_size=instance.cartesian_size,
-            baseline="monolithic single-shard SignatureIndex build",
+            baseline="in-memory single-shard SignatureIndex build",
         ),
         "shard_scaling": scaling,
         "streaming_csv": streaming,
-        "sqlite_pushdown": sqlite_cell,
+        "sqlite_source": sqlite_cell,
         "acceptance": {
-            "single_shard_seconds": single_shard,
-            "best_multiworker": best,
-            "multiworker_speedup": round(
-                single_shard / max(best["seconds"], 1e-12), 3
-            ),
-            "multiworker_below_single_shard": (
-                best["seconds"] < single_shard
-            ),
             "streaming_peak_ratio": streaming["peak_ratio"],
-            "targets": {
-                "multiworker_below_single_shard": True,
-                "streaming_peak_ratio_max": 0.75,
-            },
+            "targets": {"streaming_peak_ratio_max": 0.75},
         },
     }
 
@@ -249,31 +216,19 @@ def main(argv=None) -> int:
     for cell in report["shard_scaling"]:
         print(
             f"  {cell['name']:20s} shards={cell['shards']:<2d} "
-            f"workers={cell['workers']:<2d} {cell['seconds']*1e3:9.1f}ms"
+            f"{cell['seconds']*1e3:9.1f}ms"
         )
     streaming = report["streaming_csv"]
     print(
         f"  streaming CSV peak {streaming['streaming_peak_bytes']/1e6:.1f} MB"
-        f" vs monolithic {streaming['monolithic_peak_bytes']/1e6:.1f} MB"
+        f" vs in-memory {streaming['monolithic_peak_bytes']/1e6:.1f} MB"
         f" (ratio {streaming['peak_ratio']})"
     )
     print(
-        f"  sqlite push-down  {report['sqlite_pushdown']['seconds']*1e3:9.1f}ms"
+        f"  sqlite source     {report['sqlite_source']['seconds']*1e3:9.1f}ms"
     )
     acceptance = report["acceptance"]
-    print(
-        "acceptance: multi-worker "
-        f"{acceptance['multiworker_speedup']}x vs single-shard "
-        f"(below: {acceptance['multiworker_below_single_shard']}), "
-        f"streaming peak ratio {acceptance['streaming_peak_ratio']}"
-    )
-    # The smoke run is a canary: on tiny instances and noisy shared
-    # runners the parallel win can vanish, so only the memory bound and
-    # parity gate there; the full run also gates on the speedup.
-    if not report["meta"]["smoke"]:
-        if not acceptance["multiworker_below_single_shard"]:
-            print("FAIL: multi-worker build not below single-shard")
-            return 1
+    print(f"acceptance: streaming peak ratio {acceptance['streaming_peak_ratio']}")
     if acceptance["streaming_peak_ratio"] >= acceptance["targets"][
         "streaming_peak_ratio_max"
     ]:

@@ -25,11 +25,7 @@ import numpy as np
 
 from repro.core.entropy import INFINITE_ENTROPY, Entropy, best_skyline_entropy
 from repro.core.sample import Label
-from repro.core.signatures import (
-    SignatureClass,
-    SignatureIndex,
-    _encode_columns,
-)
+from repro.core.signatures import SignatureClass, SignatureIndex, ValueCodec
 from repro.core.strategies.base import StatelessStrategy
 from repro.relational.relation import Instance
 
@@ -46,9 +42,11 @@ def legacy_signatures_numpy(instance: Instance) -> dict:
     n_right = len(instance.right)
     if n_left == 0 or n_right == 0:
         return {}
-    left, right = _encode_columns(instance)
+    codec = ValueCodec()  # one code table for both relations
     n = instance.left.arity
     m = instance.right.arity
+    left = codec.encode_rows(instance.left.rows, n)
+    right = codec.encode_rows(instance.right.rows, m)
     n_words = (n * m + _WORD_BITS - 1) // _WORD_BITS
     words = np.zeros((n_words, n_left, n_right), dtype=np.uint64)
     for i in range(n):

@@ -68,6 +68,15 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _strategy_name(text: str) -> str:
+    """A ``--strategy`` value that :func:`strategy_by_name` accepts."""
+    try:
+        strategy_by_name(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-join",
@@ -85,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("right_csv", type=Path, help="relation P (CSV)")
     infer.add_argument(
         "--strategy",
+        type=_strategy_name,
         default="TD",
         help="RND / BU / TD / L1S / L2S / LkS / OPT (default: TD)",
     )
@@ -105,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the full Q&A transcript and result as JSON",
     )
+    # Lets the command report an unreadable CSV like a bad argument.
+    infer.set_defaults(error=infer.error)
 
     generate = subparsers.add_parser(
         "generate", help="write benchmark datasets as CSV"
@@ -162,20 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help=(
-            "worker threads for off-loop index builds; also the shard "
-            "fan-out within one build, so N concurrent cold builds on "
-            "distinct data may run up to N*N kernel threads — size to "
-            "the machine's cores, not the request rate (default: 1)"
-        ),
-    )
-    serve.add_argument(
-        "--shard-rows",
-        type=_positive_int,
-        default=None,
-        help=(
-            "rows of R per index-build shard (default: one shard per "
-            "build worker; with --build-workers 1 that is a single "
-            "shard, the pre-pipeline behaviour)"
+            "worker threads for off-loop index builds and speculative "
+            "precompute; each build runs on one thread — size to the "
+            "machine's cores, not the request rate (default: 1)"
         ),
     )
     serve.add_argument(
@@ -378,8 +379,11 @@ def _console_oracle(instance: Instance, stream=None) -> CallbackOracle:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    left = read_csv(args.left_csv, infer_types=args.infer_types)
-    right = read_csv(args.right_csv, infer_types=args.infer_types)
+    try:
+        left = read_csv(args.left_csv, infer_types=args.infer_types)
+        right = read_csv(args.right_csv, infer_types=args.infer_types)
+    except OSError as error:
+        args.error(f"cannot read {error.filename}: {error.strerror}")
     instance = Instance(left, right)
     strategy = strategy_by_name(args.strategy)
     halt = (
@@ -495,7 +499,6 @@ def manager_from_args(args: argparse.Namespace):
     ``serve`` flags (kept separate so tests can check the plumbing)."""
     import os
 
-    from .core import IndexBuilder
     from .service import (
         IndexCache,
         SessionManager,
@@ -534,17 +537,12 @@ def manager_from_args(args: argparse.Namespace):
         if shared_plan is not None:
             shared_plan.reap()
 
-    # The cache (and its builder, which carries --shard-rows) is built
-    # here because --index-cache-size is a cache knob; the manager only
-    # needs build_workers to size its off-loop executor — a manager
-    # handed an explicit cache never constructs a builder of its own.
+    # The cache is built here because --index-cache-size is a cache
+    # knob; the manager only needs build_workers to size its off-loop
+    # executor.
     return SessionManager(
         index_cache=IndexCache(
-            capacity=args.index_cache_size,
-            builder=IndexBuilder(
-                shard_rows=args.shard_rows, workers=args.build_workers
-            ),
-            shared=plane,
+            capacity=args.index_cache_size, shared=plane
         ),
         max_sessions=args.max_sessions,
         ttl_seconds=args.session_ttl if args.session_ttl > 0 else None,

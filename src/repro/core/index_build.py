@@ -1,44 +1,40 @@
-"""Sharded construction pipeline for the signature index.
+"""The signature-index construction pipeline: one join-driven kernel.
 
 The :class:`~repro.core.signatures.SignatureIndex` is the quotient of
 ``D = R × P`` by ``T`` (§4) and the one artifact every strategy and every
-service session depends on.  Its monolithic constructors walk the whole
-product in one pass; this module factorises that pass into **shards** —
-contiguous ranges of rows of ``R``, each crossed with all of ``P`` —
-that are computed independently and merged:
+service session depends on.  Besides the pure-Python reference, this
+module holds the only kernel that computes it — the constructor's
+``"numpy"`` backend and every service build run it — as a pipeline over
+**shards**, contiguous ranges of rows of ``R``, each crossed with all
+of ``P``:
 
-1. a :class:`~repro.relational.source.SignatureSource` streams the rows
-   (in-memory instance, CSV stream, or SQLite with SQL push-down);
+1. a :class:`~repro.relational.source.SignatureSource` supplies the rows
+   (in-memory instance, streamed CSV, or SQLite tables);
 2. each shard runs the join-driven packed-bitset kernel
    (:func:`shard_signatures`: per attribute pair, a scatter onto the
    agreeing product positions, or a broadcast compare when they are
-   common) or the source's native push-down, yielding the shard's
-   distinct signatures as packed uint64 arrays — counts and minimal
-   product ordinals, never Python dicts per chunk;
+   common), yielding the shard's distinct signatures as packed uint64
+   arrays — counts and minimal product ordinals, never Python dicts per
+   chunk;
 3. :func:`merge_shards` folds the shard histograms with one vectorised
    ``unique`` (counts sum, ordinals min, representative follows the
    minimal ordinal), and :func:`index_from_signatures` canonicalises
-   into ``(|signature|, mask)`` order — the one ordering rule shared by
-   the kernel, push-down, and sampled paths.
+   into ``(|signature|, mask)`` order through
+   :func:`~repro.core.signatures.canonical_classes`, the ordering rule
+   the constructor and the sampled path share.
 
 Because shards partition the product by ascending row ranges and the
 merge resolves representatives by *global* minimal ordinal, the result
-is bit-for-bit identical to the monolithic build for every shard size,
-worker count, and backend (property-tested against both the monolithic
-NumPy path and the pure-Python reference).
-
-Shards are embarrassingly parallel: :class:`IndexBuilder` can fan them
-out over a ``concurrent.futures`` thread pool (the heavy kernels are
-NumPy ufuncs and sorts, which release the GIL), while a streaming source
-is read sequentially with a bounded window of in-flight shards so memory
-stays capped.  The service layer runs whole builds on such a pool off
-its event loop — see :mod:`repro.service.index_cache`.
+is bit-for-bit identical for every shard size and source (property-
+tested against the pure-Python reference).  Shards run one after
+another; what they bound is memory: a streaming source hands over one
+block of ``R`` at a time, so the build's arrays never cover more than a
+shard.  The service runs whole builds on a thread pool off its event
+loop — see :mod:`repro.service.index_cache`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Mapping, Sequence
@@ -48,7 +44,7 @@ import numpy as np
 from ..relational.relation import Instance, Row
 from ..relational.source import SignatureSource, as_signature_source
 from . import bitset
-from .signatures import SignatureClass, SignatureIndex, ValueCodec
+from .signatures import SignatureIndex, ValueCodec, canonical_classes
 
 __all__ = [
     "IndexBuilder",
@@ -57,20 +53,14 @@ __all__ = [
     "merge_shards",
     "signature_histogram",
     "index_from_signatures",
-    "build_signature_index",
 ]
 
 TuplePair = tuple[Row, Row]
 
-#: Target packed uint64 words materialised per kernel chunk (~8 MiB) —
-#: the same bound the monolithic constructor uses, so a shard never
-#: allocates more than a chunk of the product regardless of its size.
+#: Target packed uint64 words materialised per kernel chunk (~8 MiB), so
+#: a shard never allocates more than a chunk of the product regardless
+#: of its size.  Chunks cover whole rows of R: the bound is approximate.
 _CHUNK_WORDS = 1 << 20
-
-#: Rows per shard for parallel builds over sources whose ``|R|`` is
-#: unknown up front (pure streams): without this, ``workers > 1`` over
-#: a streaming CSV would silently collapse into one monolithic block.
-_STREAM_SHARD_ROWS = 4096
 
 #: An attribute pair agreeing at more than ``1/_SCATTER_MAX_SHARE`` of a
 #: chunk's product positions sets its bit by a broadcast compare over
@@ -369,8 +359,8 @@ def signature_histogram(
     merged: ShardSignatures,
 ) -> dict[int, tuple[int, TuplePair]]:
     """A merged shard fold as ``{mask: (count, representative)}`` — the
-    input shape of :func:`index_from_signatures`, so every backend
-    (kernel, push-down, sampled) shares one canonicalisation."""
+    input shape of :func:`index_from_signatures`, so the kernel and the
+    sampled path share one canonicalisation."""
     return {
         bitset.unpack_row(row): (int(count), representative)
         for row, count, representative in zip(
@@ -389,68 +379,27 @@ def index_from_signatures(
     :func:`~repro.core.sampling.sampled_signature_index` takes, so
     sampled and exact indexes cannot drift apart structurally.
     """
-    ordered = sorted(
-        found.items(), key=lambda item: (item[0].bit_count(), item[0])
-    )
-    classes = tuple(
-        SignatureClass(class_id, mask, count, representative)
-        for class_id, (mask, (count, representative)) in enumerate(ordered)
-    )
-    return SignatureIndex.from_classes(instance, classes)
+    return SignatureIndex.from_classes(instance, canonical_classes(found))
 
 
 class IndexBuilder:
     """Builds :class:`SignatureIndex` objects from pluggable sources.
 
     ``shard_rows`` bounds how many rows of ``R`` one shard covers
-    (``None`` = automatic: a single shard, or ``⌈|R| / workers⌉`` when
-    ``workers > 1`` and the source knows ``|R|``).  ``workers`` fans
-    shard kernels out over a transient thread pool; push-down sources
-    (SQLite) always evaluate their shards sequentially because an
-    embedded connection is bound to one thread.
+    (``None`` = a single shard).  It exists for streaming sources: a
+    :class:`~repro.relational.source.CsvSource` reads ``R`` one shard at
+    a time, so the build's arrays never cover more than a shard.
 
     The builder is stateless across builds and safe to share — the
     service keeps one per :class:`~repro.service.index_cache.IndexCache`.
     """
 
-    __slots__ = ("shard_rows", "workers")
+    __slots__ = ("shard_rows",)
 
-    def __init__(
-        self, shard_rows: int | None = None, workers: int = 1
-    ):
+    def __init__(self, shard_rows: int | None = None):
         if shard_rows is not None and shard_rows < 1:
             raise ValueError("shard_rows must be positive or None")
-        if workers < 1:
-            raise ValueError("workers must be positive")
         self.shard_rows = shard_rows
-        self.workers = workers
-
-    # --- planning ---------------------------------------------------------
-
-    def _plan_shard_rows(self, left_count: int | None) -> int | None:
-        """The effective rows-per-shard for this build (None = one shard)."""
-        if self.shard_rows is not None:
-            return self.shard_rows
-        if self.workers > 1:
-            if left_count:
-                return ceil(left_count / self.workers)
-            if left_count is None:
-                # Unknown-length stream: fixed-size shards keep the
-                # workers fed and the per-block working set bounded.
-                return _STREAM_SHARD_ROWS
-        return None
-
-    @staticmethod
-    def _shards_total(
-        left_count: int | None, shard_rows: int | None
-    ) -> int | None:
-        if shard_rows is None:
-            return 1
-        if left_count is None:
-            return None
-        return max(1, ceil(left_count / shard_rows))
-
-    # --- entry point ------------------------------------------------------
 
     def build(
         self,
@@ -465,136 +414,49 @@ class IndexBuilder:
         build-status endpoint.
         """
         source = as_signature_source(source)
-        try:
-            if source.supports_pushdown:
-                found = self._build_pushdown(source, progress)
-            else:
-                found = self._build_kernel(source, progress)
-            return index_from_signatures(source.instance(), found)
-        finally:
-            source.end_build()
+        found = self.histogram(source, progress)
+        # After the histogram: a streaming source has drained its rows
+        # by now, so the instance costs no second read.
+        return index_from_signatures(source.instance(), found)
 
-    # --- kernel path ------------------------------------------------------
-
-    def _build_kernel(
+    def histogram(
         self,
-        source: SignatureSource,
-        progress: ProgressCallback | None,
+        source: SignatureSource | Instance,
+        progress: ProgressCallback | None = None,
     ) -> dict[int, tuple[int, TuplePair]]:
+        """The ``{mask: (count, representative)}`` histogram of
+        ``source``'s product, shard by shard through
+        :func:`shard_signatures`."""
+        source = as_signature_source(source)
         right_rows = source.right_rows()
         n = source.left_schema.arity
         m = source.right_schema.arity
-        n_words = bitset.words_needed(max(1, n * m))
         if not right_rows:
             return {}
         codec = ValueCodec()
         right_codes = codec.encode_rows(right_rows, m)
         lookup = _RightLookup.of(right_codes)
         left_count = source.left_count()
-        shard_rows = self._plan_shard_rows(left_count)
-        total = self._shards_total(left_count, shard_rows)
+        if self.shard_rows is None:
+            total = 1
+        elif left_count is None:
+            total = None
+        else:
+            total = max(1, ceil(left_count / self.shard_rows))
 
         shards: list[ShardSignatures] = []
-        done = 0
-
-        def note(shard: ShardSignatures) -> None:
-            nonlocal done
-            shards.append(shard)
-            done += 1
-            if progress is not None:
-                progress(done, total)
-
-        blocks = source.iter_left_blocks(shard_rows)
-        if self.workers == 1:
-            for start, rows in blocks:
-                note(
-                    shard_signatures(
-                        codec.encode_rows(rows, n),
-                        right_codes,
-                        rows,
-                        right_rows,
-                        start,
-                        lookup,
-                    )
+        for start, rows in source.iter_left_blocks(self.shard_rows):
+            shards.append(
+                shard_signatures(
+                    codec.encode_rows(rows, n),
+                    right_codes,
+                    rows,
+                    right_rows,
+                    start,
+                    lookup,
                 )
-        else:
-            # Encode on the consuming thread (the codec dict is shared),
-            # fan the kernels out, and cap in-flight shards so streamed
-            # blocks are never all resident at once.
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                in_flight: deque = deque()
-                for start, rows in blocks:
-                    in_flight.append(
-                        pool.submit(
-                            shard_signatures,
-                            codec.encode_rows(rows, n),
-                            right_codes,
-                            rows,
-                            right_rows,
-                            start,
-                            lookup,
-                        )
-                    )
-                    while len(in_flight) > self.workers:
-                        note(in_flight.popleft().result())
-                while in_flight:
-                    note(in_flight.popleft().result())
-
-        return signature_histogram(merge_shards(shards, n_words))
-
-    # --- push-down path ---------------------------------------------------
-
-    def _build_pushdown(
-        self,
-        source: SignatureSource,
-        progress: ProgressCallback | None,
-    ) -> dict[int, tuple[int, TuplePair]]:
-        left_count = source.left_count()
-        if left_count is None:
-            raise ValueError(
-                "push-down sources must know their left row count"
             )
-        shard_rows = self._plan_shard_rows(left_count) or max(1, left_count)
-        total = self._shards_total(left_count, shard_rows)
-        merged: dict[int, list[int]] = {}
-        done = 0
-        for start in range(0, max(1, left_count), shard_rows):
-            stop = min(start + shard_rows, left_count)
-            for mask, (count, ordinal) in source.shard_signatures(
-                start, stop
-            ).items():
-                entry = merged.get(mask)
-                if entry is None:
-                    merged[mask] = [count, ordinal]
-                else:
-                    entry[0] += count
-                    entry[1] = min(entry[1], ordinal)
-            done += 1
             if progress is not None:
-                progress(done, total)
-        instance = source.instance()
-        left_rows = instance.left.rows
-        right_rows = instance.right.rows
-        n_right = len(right_rows)
-        return {
-            mask: (
-                count,
-                (
-                    left_rows[ordinal // n_right],
-                    right_rows[ordinal % n_right],
-                ),
-            )
-            for mask, (count, ordinal) in merged.items()
-        }
-
-
-def build_signature_index(
-    source: SignatureSource | Instance,
-    shard_rows: int | None = None,
-    workers: int = 1,
-    progress: ProgressCallback | None = None,
-) -> SignatureIndex:
-    """One-call convenience wrapper around :class:`IndexBuilder`."""
-    return IndexBuilder(shard_rows=shard_rows, workers=workers).build(
-        source, progress=progress
-    )
+                progress(len(shards), total)
+        n_words = bitset.words_needed(max(1, n * m))
+        return signature_histogram(merge_shards(shards, n_words))

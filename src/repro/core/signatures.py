@@ -15,10 +15,12 @@ each carrying:
 
 Every strategy then reasons over the (usually tiny) set of classes instead
 of the (possibly huge) product.  Two construction back ends are provided:
-a pure-Python reference and a vectorised NumPy one that walks ``R × P`` in
-chunks of packed 64-bit signature words (so peak memory is bounded by the
-chunk size, not by ``|R|·|P|``, and any Ω width is supported); they
-produce identical indexes (property-tested).
+a pure-Python reference, and the join-driven packed-bitset kernel of
+:mod:`repro.core.index_build` — the one the service's builds run — which
+sets each attribute pair's bit only where the two columns agree, a
+chunk of packed 64-bit signature words at a time (so any Ω width is
+supported and peak memory stays bounded by the chunk, not by
+``|R|·|P|``).  They produce identical indexes (property-tested).
 
 Beyond the classes themselves the index precomputes the array-native views
 the hot path needs: the ``(|N|, n_words)`` packed mask matrix, the class
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -43,10 +45,6 @@ from .specialize import pairs_from_bits, signature_bits
 __all__ = ["SignatureClass", "SignatureIndex", "ValueCodec"]
 
 TuplePair = tuple[Row, Row]
-
-# Target number of packed uint64 words materialised per construction chunk
-# (~8 MiB).  Chunks cover whole rows of R, so the bound is approximate.
-_CHUNK_WORDS = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,62 +110,18 @@ class ValueCodec:
         ).reshape(len(rows), arity)
 
 
-def _encode_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Encode all attribute values of both relations as dense codes."""
-    codec = ValueCodec()
-    left = codec.encode_rows(instance.left.rows, instance.left.arity)
-    right = codec.encode_rows(instance.right.rows, instance.right.arity)
-    return left, right
-
-
-def _signatures_numpy(instance: Instance) -> dict[int, tuple[int, TuplePair]]:
-    """Vectorised construction: packed signature words for a chunk of
-    ``R × P`` at a time, uniquified per chunk and merged.
-
-    Peak memory is ``O(chunk)`` rather than ``O(|R|·|P|)``; Ω of any width
-    packs into ``n_words`` 64-bit words.
-    """
-    n_left = len(instance.left)
-    n_right = len(instance.right)
-    if n_left == 0 or n_right == 0:
-        return {}
-    left, right = _encode_columns(instance)
-    n = instance.left.arity
-    m = instance.right.arity
-    n_words = bitset.words_needed(n * m)
-    rows_per_chunk = max(1, _CHUNK_WORDS // (n_right * n_words))
-
-    found: dict[int, tuple[int, TuplePair]] = {}
-    left_rows = instance.left.rows
-    right_rows = instance.right.rows
-    for start in range(0, n_left, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n_left)
-        chunk = stop - start
-        words = np.zeros((chunk * n_right, n_words), dtype=np.uint64)
-        for i in range(n):
-            column_left = left[start:stop, i : i + 1]  # (chunk, 1)
-            for j in range(m):
-                position = i * m + j
-                word_index, bit = divmod(position, bitset.WORD_BITS)
-                equal = column_left == right[None, :, j].reshape(1, n_right)
-                words[:, word_index] |= equal.reshape(
-                    chunk * n_right
-                ).astype(np.uint64) << np.uint64(bit)
-        unique, first_indices, _, counts = bitset.unique_rows(words)
-        for row_words, first, count in zip(unique, first_indices, counts):
-            mask = bitset.unpack_row(row_words)
-            existing = found.get(mask)
-            if existing is None:
-                r_index, p_index = divmod(
-                    start * n_right + int(first), n_right
-                )
-                found[mask] = (
-                    int(count),
-                    (left_rows[r_index], right_rows[p_index]),
-                )
-            else:
-                found[mask] = (existing[0] + int(count), existing[1])
-    return found
+def canonical_classes(
+    found: Mapping[int, tuple[int, TuplePair]],
+) -> tuple[SignatureClass, ...]:
+    """The classes of a ``{mask: (count, representative)}`` histogram in
+    canonical ``(|signature|, mask)`` order, with consecutive ids."""
+    ordered = sorted(
+        found.items(), key=lambda item: (item[0].bit_count(), item[0])
+    )
+    return tuple(
+        SignatureClass(class_id, mask, count, representative)
+        for class_id, (mask, (count, representative)) in enumerate(ordered)
+    )
 
 
 class SignatureIndex:
@@ -194,27 +148,20 @@ class SignatureIndex:
         instance: Instance,
         backend: Literal["auto", "numpy", "python"] = "auto",
     ):
+        if backend == "auto":
+            # The kernel wins past a few hundred product tuples; below
+            # that its fixed encoding cost dominates.
+            backend = "numpy" if instance.cartesian_size >= 512 else "python"
         if backend == "python":
             found = _signatures_python(instance)
         elif backend == "numpy":
-            found = _signatures_numpy(instance)
-        elif backend == "auto":
-            # NumPy wins past a few hundred product tuples; below that the
-            # fixed encoding cost dominates.
-            if instance.cartesian_size >= 512:
-                found = _signatures_numpy(instance)
-            else:
-                found = _signatures_python(instance)
+            # Deferred: index_build builds on this module's classes.
+            from .index_build import IndexBuilder
+
+            found = IndexBuilder().histogram(instance)
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        ordered = sorted(
-            found.items(), key=lambda item: (item[0].bit_count(), item[0])
-        )
-        classes = tuple(
-            SignatureClass(class_id, mask, count, representative)
-            for class_id, (mask, (count, representative)) in enumerate(ordered)
-        )
-        self._install(instance, classes)
+        self._install(instance, canonical_classes(found))
 
     @classmethod
     def from_classes(

@@ -16,10 +16,8 @@ spectrum from unit tests to products far beyond memory:
   materialised anywhere — only the raw distinct rows themselves are
   retained (for exact de-duplication, and to hand the finished index
   its instance without re-parsing the file);
-* :class:`SqliteSource` — tables in a SQLite database, with the
-  per-attribute equality tests *pushed down* into SQL
-  (:func:`~repro.relational.sqlite_backend.sql_signature_shard`): only
-  the distinct signatures cross the database boundary.
+* :class:`SqliteSource` — tables (or views) in a SQLite database, read
+  once in ``rowid`` order and then built like an in-memory instance.
 
 Every source reproduces the exact set semantics of
 :class:`~repro.relational.relation.Relation` — duplicate rows dropped,
@@ -39,13 +37,7 @@ from typing import Any, Callable, Iterator, TextIO
 from .csv_io import iter_csv_rows
 from .relation import Instance, Relation, Row
 from .schema import RelationSchema
-from .sqlite_backend import (
-    distinct_row_count,
-    load_relation_ordered,
-    make_dedup_table,
-    sql_signature_shard,
-    sqlite_quote,
-)
+from .sqlite_backend import load_relation_ordered
 
 __all__ = [
     "SignatureSource",
@@ -72,15 +64,8 @@ class SignatureSource(ABC):
       :class:`~repro.relational.relation.Instance` — called once, after
       the signatures are computed, because the finished
       :class:`~repro.core.signatures.SignatureIndex` needs Ω and the
-      relations for predicate decoding;
-    * sources with :attr:`supports_pushdown` compute whole shard
-      histograms natively via :meth:`shard_signatures` and are never
-      asked for raw rows.
+      relations for predicate decoding.
     """
-
-    #: True when :meth:`shard_signatures` evaluates shards natively
-    #: (e.g. inside SQL) instead of handing rows to the packed kernel.
-    supports_pushdown: bool = False
 
     @property
     @abstractmethod
@@ -112,17 +97,6 @@ class SignatureSource(ABC):
         """Yield ``(start_index, rows)`` blocks of de-duplicated ``R``
         rows in canonical order; ``None`` means one block with all rows.
         Empty blocks are never yielded."""
-
-    def shard_signatures(self, start: int, stop: int) -> dict:
-        """Push-down hook: ``{mask: (count, first_ordinal)}`` for left
-        rows ``start ≤ ord < stop`` against all of ``P``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support signature push-down"
-        )
-
-    def end_build(self) -> None:
-        """Called by the builder when a build finishes (success or
-        failure): release any per-build scratch state.  Default: none."""
 
     def describe(self) -> dict[str, Any]:
         """A JSON-able summary for build status and benchmarks."""
@@ -184,7 +158,7 @@ class CsvSource(SignatureSource):
     block by block, de-duplicated on the fly.  The build's heavy
     allocations — encoded code matrices and packed signature words —
     only ever cover one block, which is what keeps ≫10⁷-tuple products
-    buildable without the monolithic path's full-product working set
+    buildable without a working set covering all of ``R``
     (the raw distinct row tuples are retained: exact de-duplication
     needs them, and a fully drained stream doubles as the row cache so
     :meth:`instance` never re-parses the file).  Values stay strings
@@ -321,19 +295,16 @@ class CsvSource(SignatureSource):
         return self._instance
 
 
-class SqliteSource(SignatureSource):
-    """A source evaluating signature shards inside a SQLite database.
+class SqliteSource(InstanceSource):
+    """A source over two tables (or views) of a SQLite database.
 
-    The per-attribute equality tests of ``T`` are pushed into SQL
-    (CASE-WHEN bit words grouped over the cross join), so a shard build
-    moves only ``{signature: (count, first ordinal)}`` across the
-    database boundary.  Note SQLite connections are bound to their
-    creating thread by default — shard queries run sequentially in the
-    builder thread, which is also the honest layout for an embedded
-    engine that brings its own native loops.
+    Both are read once, in ``rowid`` order
+    (:func:`~repro.relational.sqlite_backend.load_relation_ordered`), so
+    de-duplication keeps first-occurrence order, and the build runs the
+    kernel over the loaded rows.  Signature equality is therefore Python
+    equality of the loaded values — ``1 == 1.0 != "1"``, ``None ==
+    None`` — whatever types or collations the columns declare.
     """
-
-    supports_pushdown = True
 
     def __init__(
         self,
@@ -343,149 +314,11 @@ class SqliteSource(SignatureSource):
         left_attributes: list[str] | None = None,
         right_attributes: list[str] | None = None,
     ):
-        self._conn = conn
-        self._left_table = left_table
-        self._right_table = right_table
-        self._left_schema_ = RelationSchema(
-            left_table, self._resolve_attributes(left_table, left_attributes)
-        )
-        self._right_schema_ = RelationSchema(
-            right_table,
-            self._resolve_attributes(right_table, right_attributes),
-        )
-        self._instance: Instance | None = None
-        self._left_count: int | None = None
-        self._dedup_sources: tuple[str, str] | None = None
-        # The push-down's dedup ordinals are defined over MIN(rowid);
-        # views and WITHOUT ROWID tables have none, and an explicit
-        # column named rowid/_rowid_/oid *shadows* the implicit one, so
-        # all of those take the kernel path over the loaded instance
-        # instead of crashing (or silently mis-ordering) mid-build.
-        shadowed = {"rowid", "_rowid_", "oid"}
-        self.supports_pushdown = (
-            not any(
-                attribute.name.lower() in shadowed
-                for schema in (self._left_schema_, self._right_schema_)
-                for attribute in schema
+        super().__init__(
+            Instance(
+                load_relation_ordered(conn, left_table, left_attributes),
+                load_relation_ordered(conn, right_table, right_attributes),
             )
-            and self._has_rowid(left_table)
-            and self._has_rowid(right_table)
-        )
-
-    def _has_rowid(self, table: str) -> bool:
-        try:
-            row = self._conn.execute(
-                f"SELECT rowid FROM {sqlite_quote(table)} LIMIT 1"
-            ).fetchone()
-        except sqlite3.OperationalError:
-            return False  # WITHOUT ROWID tables: no such column
-        # Views resolve rowid to NULL instead of erroring — NULL
-        # ordinals would make the dedup order arbitrary, so they fall
-        # back too.  An empty table has nothing to mis-order.
-        return row is None or row[0] is not None
-
-    def _resolve_attributes(
-        self, table: str, attributes: list[str] | None
-    ) -> list[str]:
-        if attributes is not None:
-            return list(attributes)
-        cursor = self._conn.execute(
-            f"SELECT * FROM {sqlite_quote(table)} LIMIT 0"
-        )
-        return [description[0] for description in cursor.description]
-
-    @property
-    def left_schema(self) -> RelationSchema:
-        return self._left_schema_
-
-    @property
-    def right_schema(self) -> RelationSchema:
-        return self._right_schema_
-
-    def _attribute_names(self, schema: RelationSchema) -> list[str]:
-        return [attribute.name for attribute in schema]
-
-    def instance(self) -> Instance:
-        if self._instance is None:
-            self._instance = Instance(
-                load_relation_ordered(
-                    self._conn,
-                    self._left_table,
-                    self._attribute_names(self._left_schema_),
-                ),
-                load_relation_ordered(
-                    self._conn,
-                    self._right_table,
-                    self._attribute_names(self._right_schema_),
-                ),
-            )
-        return self._instance
-
-    def left_count(self) -> int:
-        if self._left_count is None:
-            self._left_count = distinct_row_count(
-                self._conn,
-                self._left_table,
-                self._attribute_names(self._left_schema_),
-            )
-        return self._left_count
-
-    def right_rows(self) -> tuple[Row, ...]:
-        return self.instance().right.rows
-
-    def iter_left_blocks(
-        self, block_rows: int | None
-    ) -> Iterator[LeftBlock]:
-        # Kernel-path fallback (used when push-down is disabled, e.g. to
-        # cross-validate the SQL path against the packed kernel).
-        return _blocks_of(self.instance().left.rows, block_rows)
-
-    def end_build(self) -> None:
-        """Drop the per-build TEMP dedup tables — they each hold a full
-        materialised copy of a relation, and a long-lived connection
-        creating fresh sources per rebuild must not accumulate them."""
-        if self._dedup_sources is not None:
-            for quoted in self._dedup_sources:
-                self._conn.execute(f"DROP TABLE IF EXISTS temp.{quoted}")
-            self._dedup_sources = None
-
-    def _dedup_tables(self) -> tuple[str, str]:
-        """Materialise the first-occurrence ordinals of both tables once
-        per *build* (TEMP tables, dropped again by :meth:`end_build`) so
-        shard queries range-scan them instead of re-sorting the whole
-        table per shard.  The data is assumed immutable for the source's
-        lifetime — the same contract every backend already relies on."""
-        if self._dedup_sources is None:
-            token = f"{id(self):x}"
-            self._dedup_sources = (
-                make_dedup_table(
-                    self._conn,
-                    self._left_table,
-                    self._attribute_names(self._left_schema_),
-                    f"repro_dedup_l_{token}",
-                ),
-                make_dedup_table(
-                    self._conn,
-                    self._right_table,
-                    self._attribute_names(self._right_schema_),
-                    f"repro_dedup_r_{token}",
-                ),
-            )
-        return self._dedup_sources
-
-    def shard_signatures(self, start: int, stop: int) -> dict:
-        left_source, right_source = self._dedup_tables()
-        return sql_signature_shard(
-            self._conn,
-            self._left_table,
-            self._right_table,
-            self._attribute_names(self._left_schema_),
-            self._attribute_names(self._right_schema_),
-            start,
-            stop,
-            len(self.right_rows()),
-            left_source=left_source,
-            right_source=right_source,
         )
 
 

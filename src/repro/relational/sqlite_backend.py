@@ -5,7 +5,9 @@ but a downstream user's data usually lives in a database.  This module
 round-trips relations to SQLite tables and evaluates equijoins/semijoins as
 SQL, which serves three purposes:
 
-* loading real data into the inference machinery (``load_relation``),
+* loading real data into the inference machinery (``load_relation``;
+  ``load_relation_ordered`` feeds
+  :class:`~repro.relational.source.SqliteSource` index builds),
 * persisting generated datasets (``store_relation``),
 * cross-validating the pure-Python algebra against a real query engine
   (the test suite checks ``algebra.equijoin == sql_equijoin`` on random
@@ -36,21 +38,8 @@ __all__ = [
     "sql_semijoin",
     "equijoin_query",
     "semijoin_query",
-    "distinct_row_count",
-    "make_dedup_table",
-    "signature_shard_query",
-    "sql_signature_shard",
     "sqlite_quote",
 ]
-
-#: Ω positions packed per SQL integer column in the signature push-down.
-#: SQLite integers are 64-bit *signed*, so stay clear of the sign bit.
-SQL_MASK_BITS = 62
-
-#: Quoted name of the generated first-occurrence ordinal column.  The
-#: embedded space keeps it outside the schema layer's attribute grammar,
-#: so no relation attribute can ever collide with it.
-ORD_COLUMN = '"repro ord"'
 
 
 def connect_memory() -> sqlite3.Connection:
@@ -118,9 +107,11 @@ def load_relation_ordered(
     Plain ``SELECT *`` order is an SQLite implementation detail;
     ordering by ``rowid`` pins first-occurrence order, which is what
     :class:`~repro.relational.relation.Relation` keeps after
-    de-duplication and what the signature push-down's row ordinals are
-    defined over.  Falls back to the unordered load for tables without
-    a ``rowid`` (``WITHOUT ROWID`` tables, views).
+    de-duplication — and so which tuple represents each signature class
+    of an index built over the loaded rows
+    (:class:`~repro.relational.source.SqliteSource`).  Falls back to the
+    unordered load for tables without a ``rowid`` (``WITHOUT ROWID``
+    tables, and views, whose ``rowid`` reads NULL).
     """
     if attributes is None:
         cursor = conn.execute(f"SELECT * FROM {_quote(table)} LIMIT 0")
@@ -202,201 +193,3 @@ def sql_semijoin(
         tuple(row)
         for row in conn.execute(semijoin_query(instance, predicate))
     }
-
-
-# --- signature push-down ------------------------------------------------------
-#
-# The signature index groups R × P by T(t) = {(A_i, B_j) | t_R[A_i] =
-# t_P[B_j]}.  When the data already lives in SQLite, the whole grouping
-# can be evaluated *inside* the engine: encode T(t) as packed integer
-# words of CASE-WHEN equality bits and GROUP BY those words over the
-# cross join.  Only the distinct signatures (usually a tiny set) ever
-# cross the SQL boundary, so Python-side memory is O(classes) no matter
-# how large |R|·|P| is.
-#
-# Bit-for-bit parity with the in-memory build relies on two SQLite
-# guarantees: affinity-stripped `IS` (`+l.a IS +r.b` — unary `+` drops
-# the column's type affinity and collation) agrees with Python `==` on
-# stored TEXT/INTEGER/REAL/NULL values (1 = 1.0 in both, '1' ≠ 1 in
-# both even when a declared TEXT column would otherwise get NUMERIC
-# affinity applied, NULL IS NULL ↔ None == None — pre-existing tables
-# may carry NULLs and declared column types even though
-# `store_relation` writes neither), and a GROUP BY with a single MIN
-# aggregate surfaces the bare columns of the row that attained the
-# minimum — so per-distinct-row values follow first occurrence, exactly
-# like `Relation`'s de-duplication.  Grouping terms carry an explicit
-# COLLATE BINARY so declared collations (e.g. NOCASE) cannot merge rows
-# Python keeps distinct; affinity needs no stripping there, because it
-# applies at storage time and grouping compares stored values of one
-# column with itself.
-
-
-def _dedup_subquery(table: str, attributes: list[str]) -> str:
-    """A subquery numbering the distinct rows of ``table`` by first
-    occurrence: ``ord`` is 0-based, dense, in MIN(rowid) order.
-
-    Inlined into ``FROM`` rather than a CTE — two window-function CTEs
-    in one ``WITH`` list trip a name-resolution quirk in SQLite (the
-    inner ``rowid`` stops resolving), while the identical subqueries
-    joined directly work on every version we target.  Grouping uses an
-    explicit ``COLLATE BINARY`` so it matches Python tuple equality of
-    the stored values regardless of declared collations (affinity is a
-    storage-time property and cannot diverge within one column).
-    """
-    cols = ", ".join(_quote(a) for a in attributes)
-    group = ", ".join(
-        _quote(a) + " COLLATE BINARY" for a in attributes
-    )
-    # Generated identifiers contain a space, which the schema layer's
-    # [A-Za-z_][A-Za-z0-9_]* attribute grammar can never produce — a
-    # relation attribute named ord/first_row/w0 must bind the *data*
-    # column, not shadow the internals (silent wrong indexes otherwise).
-    return (
-        f'(SELECT ROW_NUMBER() OVER (ORDER BY "repro first") - 1 '
-        f'AS {ORD_COLUMN}, {cols} '
-        f'FROM (SELECT MIN(rowid) AS "repro first", {cols} '
-        f"FROM {_quote(table)} GROUP BY {group}))"
-    )
-
-
-def distinct_row_count(
-    conn: sqlite3.Connection, table: str, attributes: Iterable[str]
-) -> int:
-    """The number of distinct rows of ``table`` over ``attributes`` —
-    ``|R|`` under the paper's set semantics."""
-    group = ", ".join(
-        _quote(a) + " COLLATE BINARY" for a in attributes
-    )
-    (count,) = conn.execute(
-        f"SELECT COUNT(*) FROM "
-        f"(SELECT 1 FROM {_quote(table)} GROUP BY {group})"
-    ).fetchone()
-    return int(count)
-
-
-def make_dedup_table(
-    conn: sqlite3.Connection,
-    table: str,
-    attributes: list[str],
-    dedup_name: str,
-) -> str:
-    """Materialise ``table``'s first-occurrence ordinals once.
-
-    Creates (or replaces) a TEMP table ``dedup_name`` holding ``ord``
-    plus the attribute columns — the dedup sort runs once per build
-    instead of once per shard query, so sharded push-down builds scale
-    with the shard count rather than multiplying the ``ROW_NUMBER``
-    work.  Returns the quoted name, ready to pass as a
-    ``signature_shard_query`` source.
-    """
-    conn.execute(f"DROP TABLE IF EXISTS temp.{_quote(dedup_name)}")
-    conn.execute(
-        f"CREATE TEMP TABLE {_quote(dedup_name)} AS "
-        f"SELECT * FROM {_dedup_subquery(table, attributes)}"
-    )
-    return _quote(dedup_name)
-
-
-def signature_shard_query(
-    left_table: str,
-    right_table: str,
-    left_attributes: list[str],
-    right_attributes: list[str],
-    left_source: str | None = None,
-    right_source: str | None = None,
-) -> str:
-    """SQL computing the signature histogram of one shard of ``R × P``.
-
-    Parameters (in order): ``n_right`` (distinct right rows, used to
-    flatten ``(l.ord, r.ord)`` into one product ordinal), ``start`` and
-    ``stop`` bounding the shard's left-row ordinals.  Each result row is
-    ``(word_0, …, word_k, count, first_ordinal)`` — one distinct
-    signature, its packed mask split into :data:`SQL_MASK_BITS`-bit
-    integer words, its tuple count, and the smallest product ordinal
-    carrying it (the representative's position).
-
-    ``left_source``/``right_source`` override the row sources with
-    pre-materialised dedup tables (:func:`make_dedup_table`); by
-    default each query carries its own inline dedup subquery.
-    """
-    n, m = len(left_attributes), len(right_attributes)
-    omega = n * m
-    n_words = max(1, (omega + SQL_MASK_BITS - 1) // SQL_MASK_BITS)
-    word_exprs = []
-    for word in range(n_words):
-        terms = []
-        for position in range(
-            word * SQL_MASK_BITS, min((word + 1) * SQL_MASK_BITS, omega)
-        ):
-            i, j = divmod(position, m)
-            bit = position - word * SQL_MASK_BITS
-            # `+x IS +y COLLATE BINARY`: IS is `=` that also makes NULL
-            # IS NULL true (Python's None == None); unary `+` strips
-            # declared column affinity so TEXT '1' vs INTEGER 1 stays
-            # unequal like '1' == 1 in Python; the explicit BINARY
-            # collation stops NOCASE-style columns from merging values
-            # Python keeps distinct.
-            terms.append(
-                f"(CASE WHEN +l.{_quote(left_attributes[i])} IS "
-                f"+r.{_quote(right_attributes[j])} COLLATE BINARY "
-                f"THEN {1 << bit} ELSE 0 END)"
-            )
-        # Word aliases carry a space for the same reason as ORD_COLUMN:
-        # a data column named w0 must never capture the GROUP BY.
-        word_exprs.append(" | ".join(terms) + f' AS "repro w{word}"')
-    word_aliases = ", ".join(
-        f'"repro w{word}"' for word in range(n_words)
-    )
-    if left_source is None:
-        left_source = _dedup_subquery(left_table, left_attributes)
-    if right_source is None:
-        right_source = _dedup_subquery(right_table, right_attributes)
-    return (
-        f"SELECT {', '.join(word_exprs)}, "
-        f'COUNT(*) AS "repro n", '
-        f"MIN(l.{ORD_COLUMN} * ? + r.{ORD_COLUMN}) AS \"repro min\" "
-        f"FROM {left_source} AS l "
-        f"CROSS JOIN {right_source} AS r "
-        f"WHERE l.{ORD_COLUMN} >= ? AND l.{ORD_COLUMN} < ? "
-        f"GROUP BY {word_aliases}"
-    )
-
-
-def sql_signature_shard(
-    conn: sqlite3.Connection,
-    left_table: str,
-    right_table: str,
-    left_attributes: list[str],
-    right_attributes: list[str],
-    start: int,
-    stop: int,
-    n_right: int,
-    left_source: str | None = None,
-    right_source: str | None = None,
-) -> dict[int, tuple[int, int]]:
-    """Evaluate one shard's signature histogram inside SQLite.
-
-    Returns ``{mask: (count, first_ordinal)}`` where ``mask`` is the
-    signature over Ω in canonical bit order and ``first_ordinal`` is the
-    smallest ``left_ord * n_right + right_ord`` carrying it.
-    """
-    query = signature_shard_query(
-        left_table,
-        right_table,
-        left_attributes,
-        right_attributes,
-        left_source=left_source,
-        right_source=right_source,
-    )
-    found: dict[int, tuple[int, int]] = {}
-    n_words = max(
-        1,
-        (len(left_attributes) * len(right_attributes) + SQL_MASK_BITS - 1)
-        // SQL_MASK_BITS,
-    )
-    for row in conn.execute(query, (n_right, start, stop)):
-        mask = 0
-        for word in range(n_words):
-            mask |= int(row[word]) << (word * SQL_MASK_BITS)
-        found[mask] = (int(row[n_words]), int(row[n_words + 1]))
-    return found

@@ -8,10 +8,9 @@ share one: the cache keys on a content hash of the instance (schema +
 rows, type-tagged so ``1`` and ``"1"`` hash apart, exactly as they compare
 apart under the inference semantics).
 
-Construction goes through a configurable
-:class:`~repro.core.index_build.IndexBuilder`, so a service can shard
-builds (``repro-join serve --shard-rows --build-workers``).  Two build
-paths exist:
+Construction goes through an
+:class:`~repro.core.index_build.IndexBuilder` (replaceable, so tests can
+substitute a slow one).  Two build paths exist:
 
 * :meth:`IndexCache.get_or_build` / ``get_or_build_keyed`` — synchronous,
   used by non-async callers; the caller's thread builds inline.

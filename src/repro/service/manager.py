@@ -15,8 +15,8 @@ Session creation has two flavours: the synchronous :meth:`~SessionManager.create
 builds a cold index inline (embedding callers, tests), while the server
 uses :meth:`~SessionManager.create_async`, which pushes the build through
 the cache's single-flight path onto a ``concurrent.futures`` worker pool
-(``build_workers`` threads, shard fan-out per ``shard_rows``) so a cold
-build never stalls the event loop.
+(``build_workers`` threads, each running one whole build through the
+index kernel) so a cold build never stalls the event loop.
 
 **Speculative next-question precompute.**  Question selection — L2S
 especially — is the expensive half of a round-trip, and it happens while
@@ -90,7 +90,6 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
-from ..core.index_build import IndexBuilder
 from ..core.kernel_batch import KernelBatchScheduler
 from ..core.plan_cache import PlanCache, plan_key_for_planner
 from ..core.sample import Example, Label
@@ -250,7 +249,6 @@ class SessionManager:
         ttl_seconds: float | None = 3600.0,
         clock: Callable[[], float] = time.monotonic,
         build_workers: int = 1,
-        shard_rows: int | None = None,
         speculate: bool = True,
         speculation_slots: int | None = None,
         speculation_min_think_seconds: float = 0.02,
@@ -286,15 +284,10 @@ class SessionManager:
         if lease_ttl_seconds <= 0:
             raise ValueError("lease_ttl_seconds must be positive")
         # `index_cache or ...` would discard an *empty* cache (len 0).
-        # A caller-supplied cache keeps whatever builder it was
-        # configured with — passing shard_rows alongside it would be
-        # silently ignored, so that combination is rejected outright.
+        # A caller-supplied cache keeps whatever it was configured
+        # with — passing shared_index alongside it would be silently
+        # ignored, so that combination is rejected outright.
         if index_cache is not None:
-            if shard_rows is not None:
-                raise ValueError(
-                    "shard_rows is applied to the manager-built cache; "
-                    "configure the supplied IndexCache's builder instead"
-                )
             if shared_index is not None:
                 raise ValueError(
                     "shared_index is applied to the manager-built cache; "
@@ -302,12 +295,7 @@ class SessionManager:
                 )
             self.index_cache = index_cache
         else:
-            self.index_cache = IndexCache(
-                builder=IndexBuilder(
-                    shard_rows=shard_rows, workers=build_workers
-                ),
-                shared=shared_index,
-            )
+            self.index_cache = IndexCache(shared=shared_index)
         self.max_sessions = max_sessions
         self.ttl_seconds = ttl_seconds
         self.build_workers = build_workers

@@ -181,6 +181,40 @@ class TestInfer:
         out = capsys.readouterr().out
         assert "(1 questions asked)" in out
 
+    @pytest.mark.parametrize(
+        "strategy,message",
+        [
+            ("XYZ", "unknown strategy 'XYZ'"),
+            ("L0S", "lookahead depth must be >= 1"),
+        ],
+    )
+    def test_infer_rejects_bad_strategy(
+        self, tmp_path, capsys, strategy, message
+    ):
+        left_path, right_path = self._write_tables(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "infer",
+                    str(left_path),
+                    str(right_path),
+                    "--strategy",
+                    strategy,
+                ]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --strategy: {message}" in err
+
+    def test_infer_rejects_missing_csv(self, tmp_path, capsys):
+        _, right_path = self._write_tables(tmp_path)
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["infer", str(missing), str(right_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {missing}: No such file or directory" in err
+
 
 class TestExperimentCommand:
     def test_table1_smoke(self, capsys, monkeypatch):

@@ -1,15 +1,16 @@
-"""Property tests: the sharded build pipeline is bit-for-bit identical
-to the monolithic constructions.
+"""Property tests: the signature kernel is bit-for-bit identical to the
+pure-Python reference.
 
-The contract under test: for every shard size, worker count, and source
-backend,
+The contract under test: for every shard size and source backend,
 
-    sharded build ≡ monolithic NumPy build ≡ pure-Python reference
+    sharded build ≡ ``SignatureIndex(backend="numpy")`` ≡ pure-Python
+    reference
 
 — same class ids, masks, counts, representatives, maximal set, and total
-weight.  Covered explicitly: shard counts {1, 2, 7, |R|}, Ω widths
-straddling the 64-bit word boundary (63/64/65), empty shards, empty
-relations, and single-row relations.
+weight.  The constructor's ``"numpy"`` backend runs the same kernel as
+:class:`IndexBuilder` in one shard.  Covered explicitly: shard counts
+{1, 2, 7, |R|}, Ω widths straddling the 64-bit word boundary
+(63/64/65), empty shards, empty relations, and single-row relations.
 
 The shard kernel sets each attribute pair's bit by one of two branches —
 a broadcast compare for pairs agreeing on more than
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IndexBuilder, SignatureIndex, build_signature_index
+from repro.core import IndexBuilder, SignatureIndex
 from repro.core.index_build import (
     _SCATTER_MAX_SHARE,
     ShardSignatures,
@@ -153,6 +154,15 @@ def shard_row_choices(n_rows: int) -> list:
     return sorted({s for s in sizes if s is not None}) + [None]
 
 
+def kernel_builds(instance: Instance, shard_sizes) -> list:
+    """Every kernel build of ``instance`` under test: the constructor's
+    ``"numpy"`` backend, then the builder at each of ``shard_sizes``."""
+    return [SignatureIndex(instance, backend="numpy")] + [
+        IndexBuilder(shard_rows=shard_rows).build(instance)
+        for shard_rows in shard_sizes
+    ]
+
+
 class TestShardedEqualsMonolithic:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -166,14 +176,10 @@ class TestShardedEqualsMonolithic:
             values=data.draw(st.integers(1, 60)),
         )
         reference = SignatureIndex(instance, backend="python")
-        monolithic = SignatureIndex(instance, backend="numpy")
-        assert_identical(monolithic, reference)
-        for shard_rows in shard_row_choices(len(instance.left)):
-            for workers in (1, 2):
-                built = IndexBuilder(
-                    shard_rows=shard_rows, workers=workers
-                ).build(instance)
-                assert_identical(built, reference)
+        for built in kernel_builds(
+            instance, shard_row_choices(len(instance.left))
+        ):
+            assert_identical(built, reference)
 
     @pytest.mark.parametrize(
         "left_arity,right_arity",
@@ -187,9 +193,7 @@ class TestShardedEqualsMonolithic:
         assert len(instance.omega) in (63, 64, 65)
         reference = SignatureIndex(instance, backend="python")
         for shard_rows in (None, 1, 4):
-            built = IndexBuilder(shard_rows=shard_rows, workers=2).build(
-                instance
-            )
+            built = IndexBuilder(shard_rows=shard_rows).build(instance)
             assert_identical(built, reference)
 
     def test_empty_relations(self):
@@ -204,9 +208,7 @@ class TestShardedEqualsMonolithic:
             )
             reference = SignatureIndex(instance, backend="python")
             for shard_rows in (None, 1, 3):
-                built = IndexBuilder(shard_rows=shard_rows, workers=2).build(
-                    instance
-                )
+                built = IndexBuilder(shard_rows=shard_rows).build(instance)
                 assert_identical(built, reference)
                 assert len(built) == 0
 
@@ -221,14 +223,6 @@ class TestShardedEqualsMonolithic:
                 IndexBuilder(shard_rows=shard_rows).build(instance),
                 reference,
             )
-
-    def test_build_signature_index_convenience(self):
-        rng = random.Random(5)
-        instance = make_random_instance(rng, 2, 2, rows=12, values=4)
-        assert_identical(
-            build_signature_index(instance, shard_rows=5, workers=2),
-            SignatureIndex(instance),
-        )
 
 
 class TestKernelBranches:
@@ -257,12 +251,10 @@ class TestKernelBranches:
         )
         assert kernel_branches(instance) == {"compare", "scatter"}
         reference = SignatureIndex(instance, backend="python")
-        for shard_rows in shard_row_choices(len(instance.left)):
-            for workers in (1, 2):
-                built = IndexBuilder(
-                    shard_rows=shard_rows, workers=workers
-                ).build(instance)
-                assert_identical(built, reference)
+        for built in kernel_builds(
+            instance, shard_row_choices(len(instance.left))
+        ):
+            assert_identical(built, reference)
 
     def test_values_present_on_one_side_only(self):
         """Left-only values (coded past every right code), right-only
@@ -292,12 +284,8 @@ class TestKernelBranches:
         instance = Instance(left, right)
         assert kernel_branches(instance) == {"compare", "scatter"}
         reference = SignatureIndex(instance, backend="python")
-        for shard_rows in (None, 1, 9):
-            for workers in (1, 2):
-                built = IndexBuilder(
-                    shard_rows=shard_rows, workers=workers
-                ).build(instance)
-                assert_identical(built, reference)
+        for built in kernel_builds(instance, (None, 1, 9)):
+            assert_identical(built, reference)
 
     @pytest.mark.parametrize(
         "left_arity,right_arity",
@@ -313,12 +301,8 @@ class TestKernelBranches:
         assert len(instance.omega) in (63, 64, 65)
         assert kernel_branches(instance) == {"compare", "scatter"}
         reference = SignatureIndex(instance, backend="python")
-        for shard_rows in (None, 1, 5):
-            for workers in (1, 2):
-                built = IndexBuilder(
-                    shard_rows=shard_rows, workers=workers
-                ).build(instance)
-                assert_identical(built, reference)
+        for built in kernel_builds(instance, (None, 1, 5)):
+            assert_identical(built, reference)
 
     def test_streaming_csv_source(self):
         instance = mixed_instance(
@@ -339,13 +323,12 @@ class TestKernelBranches:
         strings = Instance(left, right)
         assert kernel_branches(strings) == {"compare", "scatter"}
         reference = SignatureIndex(strings, backend="python")
+        assert_identical(SignatureIndex(strings, backend="numpy"), reference)
         for shard_rows in (None, 7, 60):
             source = CsvSource.from_text(
                 to_csv(left), to_csv(right), "R", "P"
             )
-            built = IndexBuilder(shard_rows=shard_rows, workers=2).build(
-                source
-            )
+            built = IndexBuilder(shard_rows=shard_rows).build(source)
             assert_identical(built, reference)
 
     def test_wide_distinct_right_side_keeps_memory_linear(self):
@@ -466,7 +449,7 @@ class TestSourceBackendsAgree:
             to_csv(left), to_csv(right), "R", "P"
         )
         built = IndexBuilder(
-            shard_rows=data.draw(st.integers(1, 10)), workers=2
+            shard_rows=data.draw(st.integers(1, 10))
         ).build(source)
         assert_identical(built, SignatureIndex(instance, backend="python"))
 
@@ -501,16 +484,9 @@ class TestSourceBackendsAgree:
         assert_identical(
             IndexBuilder(shard_rows=shard_rows).build(source), reference
         )
-        # The kernel fallback over the same SQLite data must agree too.
-        fallback = SqliteSource(conn, "R", "P")
-        fallback.supports_pushdown = False
-        assert_identical(
-            IndexBuilder(shard_rows=shard_rows, workers=2).build(fallback),
-            reference,
-        )
 
     def test_sqlite_pushdown_wide_omega(self):
-        """SQL mask words (62-bit) reassemble correctly past one word."""
+        """Ω = 72 from SQLite tables: masks span two packed words."""
         rng = random.Random(7)
         instance = make_random_instance(
             rng, left_arity=8, right_arity=9, rows=5, values=2
@@ -526,9 +502,8 @@ class TestSourceBackendsAgree:
 
     def test_sqlite_nulls_match_python_none_semantics(self):
         """Pre-existing tables may carry NULLs (store_relation refuses
-        to write them): SQL `IS` makes NULL IS NULL true, matching
-        Python's None == None in the kernel build over the loaded
-        instance."""
+        to write them): they load as None, and None == None agrees,
+        unlike SQL's NULL = NULL."""
         conn = sqlite_backend.connect_memory()
         conn.execute('CREATE TABLE "L" ("A1")')
         conn.executemany('INSERT INTO "L" VALUES (?)', [(None,), (1,)])
@@ -542,9 +517,8 @@ class TestSourceBackendsAgree:
 
     def test_sqlite_typed_columns_match_python_equality(self):
         """Declared column types must not leak into signature equality:
-        without affinity stripping, comparing a TEXT column to an
-        INTEGER column makes SQLite coerce ('1' = 1 → true) where
-        Python keeps '1' != 1."""
+        SQLite would coerce a TEXT column against an INTEGER column
+        ('1' = 1 → true) where Python keeps '1' != 1."""
         conn = sqlite_backend.connect_memory()
         conn.execute('CREATE TABLE "L" ("A1" TEXT)')
         conn.executemany('INSERT INTO "L" VALUES (?)', [("1",), ("2",)])
@@ -561,7 +535,7 @@ class TestSourceBackendsAgree:
 
     def test_sqlite_collated_columns_dedup_like_python(self):
         """A NOCASE collation would merge 'a'/'A' in SQL grouping;
-        Python keeps them distinct — grouping is collation-stripped."""
+        the loaded rows keep them distinct, as Python does."""
         conn = sqlite_backend.connect_memory()
         conn.execute('CREATE TABLE "L" ("A1" TEXT COLLATE NOCASE)')
         conn.executemany(
@@ -577,8 +551,8 @@ class TestSourceBackendsAgree:
         assert_identical(IndexBuilder(shard_rows=1).build(source), reference)
 
     def test_sqlite_reserved_looking_column_names(self):
-        """Attributes named after generated SQL identifiers (ord, w0,
-        first_row) must bind the data column, not the internals."""
+        """Attributes named like SQL internals (ord, w0, first_row) are
+        plain data columns."""
         conn = sqlite_backend.connect_memory()
         conn.execute('CREATE TABLE "L" ("ord", "w0", "first_row")')
         conn.executemany(
@@ -591,7 +565,6 @@ class TestSourceBackendsAgree:
         )
         conn.commit()
         source = SqliteSource(conn, "L", "Q")
-        assert source.supports_pushdown
         reference = SignatureIndex(source.instance(), backend="python")
         assert len(reference) > 1  # the data actually discriminates
         assert_identical(
@@ -599,8 +572,7 @@ class TestSourceBackendsAgree:
         )
 
     def test_sqlite_rowid_column_falls_back_to_kernel(self):
-        """An explicit column named rowid shadows the implicit one — no
-        reliable first-occurrence ordinals, so no push-down."""
+        """An explicit column named rowid shadows the implicit one."""
         conn = sqlite_backend.connect_memory()
         conn.execute('CREATE TABLE "L" ("rowid", "A2")')
         conn.executemany(
@@ -610,15 +582,14 @@ class TestSourceBackendsAgree:
         conn.executemany('INSERT INTO "Q" VALUES (?)', [(1,), (3,)])
         conn.commit()
         source = SqliteSource(conn, "L", "Q")
-        assert not source.supports_pushdown
         assert_identical(
             IndexBuilder(shard_rows=1).build(source),
             SignatureIndex(source.instance(), backend="python"),
         )
 
     def test_sqlite_duplicates_collapse_like_python(self):
-        """Duplicate and cross-type-equal rows (1 vs 1.0) dedup the same
-        way in SQL as under Python set semantics."""
+        """Duplicate and cross-type-equal rows (1 vs 1.0) dedup under
+        Python set semantics; "1" stays apart."""
         conn = sqlite_backend.connect_memory()
         conn.execute('CREATE TABLE "L" ("A1", "A2")')
         conn.executemany(
@@ -651,16 +622,6 @@ class TestProgressAndRouting:
         )
         assert seen == [(done, total) for done in range(1, total + 1)]
 
-    def test_auto_sharding_follows_workers(self):
-        rng = random.Random(4)
-        instance = make_random_instance(rng, 2, 2, rows=10, values=5)
-        seen = []
-        built = IndexBuilder(workers=2).build(
-            instance, progress=lambda done, total: seen.append((done, total))
-        )
-        assert seen == [(1, 2), (2, 2)]
-        assert_identical(built, SignatureIndex(instance))
-
     def test_sampled_index_routes_through_pipeline(self):
         """`index_from_signatures` canonicalises exactly like the
         constructor (ordering, ids, maximality)."""
@@ -677,8 +638,6 @@ class TestProgressAndRouting:
     def test_invalid_builder_parameters(self):
         with pytest.raises(ValueError):
             IndexBuilder(shard_rows=0)
-        with pytest.raises(ValueError):
-            IndexBuilder(workers=0)
         with pytest.raises(TypeError):
             IndexBuilder().build("not a source")
 

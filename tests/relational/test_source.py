@@ -3,19 +3,19 @@
 The bit-for-bit build parity lives in
 ``tests/properties/test_index_build.py``; here we pin the source-level
 contracts: streaming block iteration, de-duplication, schema discovery,
-error handling, and the SQL helpers behind the push-down.
+error handling, and SQLite's ordered loading.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import IndexBuilder, SignatureIndex
 from repro.relational import (
     CsvSource,
     Instance,
     InstanceSource,
     Relation,
-    SignatureSource,
     SqliteSource,
     as_signature_source,
     iter_csv_rows,
@@ -144,37 +144,20 @@ class TestSqliteSource:
 
     def test_counts_and_schema_discovery(self, conn):
         source = SqliteSource(conn, "R", "P")
-        assert source.supports_pushdown
         assert source.left_count() == 3  # duplicate collapsed
         assert [a.name for a in source.left_schema] == ["A1", "A2"]
         assert source.right_rows() == ((1,), (3,))
-
-    def test_shard_signatures_shape(self, conn):
-        source = SqliteSource(conn, "R", "P")
-        histogram = source.shard_signatures(0, 3)
-        assert sum(count for count, _ in histogram.values()) == 6
-        empty = source.shard_signatures(1, 1)
-        assert empty == {}
-
-    def test_distinct_row_count_helper(self, conn):
-        assert (
-            sqlite_backend.distinct_row_count(conn, "R", ["A1", "A2"]) == 3
-        )
-        assert sqlite_backend.distinct_row_count(conn, "R", ["A1"]) == 3
 
     def test_load_relation_ordered_first_occurrence(self, conn):
         relation = sqlite_backend.load_relation_ordered(conn, "R")
         assert relation.rows == ((1, 2), (3, 4), (5, 6))
 
     def test_view_falls_back_to_kernel_path(self, conn):
-        """Views have no rowid: the push-down is disabled up front and
-        the builder takes the kernel path over the loaded instance."""
+        """Views have no rowid: they load in scan order, and the
+        builder runs the kernel over the loaded instance."""
         conn.execute('CREATE VIEW "RV" AS SELECT * FROM "R"')
         conn.execute('CREATE VIEW "PV" AS SELECT * FROM "P"')
         source = SqliteSource(conn, "RV", "PV")
-        assert not source.supports_pushdown
-        from repro.core import IndexBuilder, SignatureIndex
-
         built = IndexBuilder(shard_rows=2).build(source)
         reference = SignatureIndex(source.instance(), backend="python")
         assert [(c.mask, c.count) for c in built] == [
@@ -187,21 +170,16 @@ class TestSqliteSource:
         )
         conn.execute('INSERT INTO "W" VALUES (1)')
         source = SqliteSource(conn, "W", "P")
-        assert not source.supports_pushdown
+        built = IndexBuilder().build(source)
+        reference = SignatureIndex(source.instance(), backend="python")
+        assert [
+            (c.class_id, c.mask, c.count, c.representative) for c in built
+        ] == [
+            (c.class_id, c.mask, c.count, c.representative)
+            for c in reference
+        ]
 
     def test_iter_left_blocks_fallback(self, conn):
         source = SqliteSource(conn, "R", "P")
         blocks = list(source.iter_left_blocks(2))
         assert blocks == [(0, ((1, 2), (3, 4))), (2, ((5, 6),))]
-
-
-class TestProtocolSurface:
-    def test_pushdown_not_implemented_by_default(self):
-        instance = Instance(
-            Relation.build("R", ["A1"], [(1,)]),
-            Relation.build("P", ["B1"], [(1,)]),
-        )
-        with pytest.raises(NotImplementedError):
-            InstanceSource(instance).shard_signatures(0, 1)
-        assert not InstanceSource(instance).supports_pushdown
-        assert issubclass(InstanceSource, SignatureSource)

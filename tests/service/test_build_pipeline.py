@@ -5,7 +5,7 @@ fingerprint are single-flight (exactly one build, asserted via cache
 stats), a large build in flight never stalls unrelated sessions
 (p95-bounded answer latency), ``GET /builds`` exposes progress, the
 ``instance_fingerprint`` hash is memoised per instance, and the
-``serve`` CLI flags reach the builder.
+``serve`` CLI flags reach the manager.
 """
 
 from __future__ import annotations
@@ -303,10 +303,6 @@ class TestDefaultWorkerConfig:
             f"warm upload create took {warm_latency:.3f}s behind a build"
         )
 
-    def test_supplied_cache_rejects_shard_rows(self):
-        with pytest.raises(ValueError):
-            SessionManager(index_cache=IndexCache(), shard_rows=64)
-
 
 class TestBuildStatusEndpoint:
     def test_builds_visible_while_in_flight(self):
@@ -436,20 +432,14 @@ class TestCliPlumbing:
                 "serve",
                 "--build-workers",
                 "3",
-                "--shard-rows",
-                "500",
                 "--max-sessions",
                 "8",
             ]
         )
         assert args.build_workers == 3
-        assert args.shard_rows == 500
         manager = manager_from_args(args)
         try:
             assert manager.build_workers == 3
-            builder = manager.index_cache.builder
-            assert builder.shard_rows == 500
-            assert builder.workers == 3
             assert manager.max_sessions == 8
         finally:
             manager.close()
@@ -457,12 +447,10 @@ class TestCliPlumbing:
     def test_serve_defaults_single_shard(self):
         args = build_parser().parse_args(["serve"])
         assert args.build_workers == 1
-        assert args.shard_rows is None
         manager = manager_from_args(args)
         try:
             builder = manager.index_cache.builder
             assert builder.shard_rows is None
-            assert builder.workers == 1
             # speculation defaults: on, depth 2, one full tree
             # (2^(depth+1) - 2 = 6 nodes) per build worker
             assert manager.speculate is True
