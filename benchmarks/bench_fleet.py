@@ -362,7 +362,6 @@ def bench_shared_index(workers: int, seeds: int, db_dir: str, smoke: bool) -> di
     config = FleetConfig(
         store_path=os.path.join(db_dir, "shmidx_single.db"),
         workers=1,
-        shared_index=True,
         speculate=False,
     )
     build_latencies: list[float] = []
@@ -380,7 +379,6 @@ def bench_shared_index(workers: int, seeds: int, db_dir: str, smoke: bool) -> di
     config = FleetConfig(
         store_path=os.path.join(db_dir, "shmidx_fleet.db"),
         workers=workers,
-        shared_index=True,
         speculate=False,
     )
     attach_latencies: list[float] = []

@@ -20,6 +20,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -48,23 +49,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    # NaN fails every comparison and inf overflows timed waits
+    # (`Event.wait(inf)`), so neither reaches a range check.
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
     return value
 
 
@@ -153,19 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642)
     serve.add_argument(
         "--max-sessions",
-        type=int,
+        type=_positive_int,
         default=256,
         help="concurrent-session capacity (default: 256)",
     )
     serve.add_argument(
         "--session-ttl",
-        type=float,
+        type=_non_negative_float,
         default=3600.0,
         help="idle seconds before a session is evicted; 0 disables",
     )
     serve.add_argument(
         "--index-cache-size",
-        type=int,
+        type=_positive_int,
         default=16,
         help="distinct instances whose indexes stay cached",
     )
@@ -190,29 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--speculation-slots",
-        type=_non_negative_int,
-        default=None,
-        help=(
-            "concurrent speculative branch jobs allowed on the build "
-            "pool; spawn points beyond the cap skip speculation "
-            "instead of queueing (default: one full tree per build "
-            "worker, (2^(depth+1) - 2) * build workers)"
-        ),
-    )
-    serve.add_argument(
-        "--speculation-depth",
-        type=_positive_int,
-        default=2,
-        help=(
-            "levels of the speculative answer tree behind each pending "
-            "question: 1 precomputes both answer branches, 2 also "
-            "precomputes each branch's own answer pair so "
-            "answer->question->answer collapses to lookups "
-            "(default: 2)"
-        ),
-    )
-    serve.add_argument(
         "--no-kernel-batch",
         dest="kernel_batch",
         action="store_false",
@@ -220,33 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
             "disable cross-session kernel batching (by default the "
             "L1S/L2S proposal kernels of sessions sharing one index "
             "are coalesced into stacked batch contractions)"
-        ),
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=_non_negative_float,
-        default=0.002,
-        help=(
-            "seconds the kernel batcher waits after an idle period's "
-            "first proposal so concurrent sessions pile into one "
-            "batch (default: 0.002)"
-        ),
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=_positive_int,
-        default=64,
-        help="largest stacked kernel batch (default: 64)",
-    )
-    serve.add_argument(
-        "--speculation-min-think",
-        type=_non_negative_float,
-        default=0.02,
-        help=(
-            "sessions whose observed question->answer gap (EWMA) stays "
-            "below this many seconds stop speculating — their oracle "
-            "answers too fast for precompute to hide anything "
-            "(0 = always speculate; default: 0.02)"
         ),
     )
     serve.add_argument(
@@ -281,12 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
             "in-process (the classic single-server mode), N>1 runs a "
             "fleet — requires --store, sessions are partitioned by id "
             "hash and leased so a killed worker's sessions resume on "
-            "survivors (default: 1)"
+            "survivors, and the workers share built indexes through "
+            "/dev/shm (default: 1)"
         ),
     )
     serve.add_argument(
         "--lease-ttl",
-        type=_non_negative_float,
+        type=_positive_float,
         default=10.0,
         help=(
             "fleet-mode session lease TTL in seconds: how long after a "
@@ -295,25 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--shared-index",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "share built signature indexes machine-wide through "
-            "/dev/shm segments (requires --store for the registry; "
-            "workers attach zero-copy instead of rebuilding; default: "
-            "on in fleet mode, off for a single server)"
-        ),
-    )
-    serve.add_argument(
         "--plan-cache",
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "memoise planner entropy tables per process and — when a "
-            "--store is present and /dev/shm is usable — share them "
-            "machine-wide, so sessions at the same state reuse one "
-            "kernel run; question sequences are identical either way "
+            "memoise planner entropy tables per process — and, in a "
+            "fleet where /dev/shm is usable, share them between the "
+            "workers — so sessions at the same state reuse one kernel "
+            "run; question sequences are identical either way "
             "(default: on)"
         ),
     )
@@ -494,76 +441,32 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_settings(args: argparse.Namespace) -> dict:
+    """The ``serve`` flags as manager settings, keyed by
+    :class:`~repro.service.fleet.FleetConfig` field name: a solo server
+    builds its manager from them, a fleet hands them to every worker."""
+    return {
+        "store_path": str(args.store) if args.store is not None else None,
+        "lease_ttl_seconds": args.lease_ttl,
+        "checkpoint_every": args.checkpoint_every,
+        "max_sessions": args.max_sessions,
+        "ttl_seconds": args.session_ttl if args.session_ttl > 0 else None,
+        "index_cache_size": args.index_cache_size,
+        "build_workers": args.build_workers,
+        "speculate": args.speculate,
+        "kernel_batch": args.kernel_batch,
+        "plan_cache": args.plan_cache,
+        "plan_cache_entries": args.plan_cache_entries,
+    }
+
+
 def manager_from_args(args: argparse.Namespace):
-    """Wire a :class:`~repro.service.manager.SessionManager` from the
-    ``serve`` flags (kept separate so tests can check the plumbing)."""
-    import os
+    """The solo server's :class:`~repro.service.manager.SessionManager`,
+    built from the ``serve`` flags by the assembly fleet workers use
+    (kept separate so tests can check the plumbing)."""
+    from .service.fleet import manager_from_config
 
-    from .service import (
-        IndexCache,
-        SessionManager,
-        SharedIndexPlane,
-        SharedPlanTier,
-        SqliteSessionStore,
-    )
-
-    # --shared-index defaults off for a single server (nobody to share
-    # with until a fleet sibling or a second process points at the same
-    # store); passing it explicitly joins this server to the machine's
-    # shared plane.
-    plane = None
-    if getattr(args, "shared_index", None) and args.store is not None:
-        lease_ttl = getattr(args, "lease_ttl", 10.0)
-        plane = SharedIndexPlane.if_available(
-            str(args.store),
-            f"solo-{os.getpid()}",
-            ttl_seconds=lease_ttl if lease_ttl > 0 else 10.0,
-        )
-        if plane is not None:
-            plane.reap()
-
-    # The plan cache's shared tier piggybacks on the store file for its
-    # registry, like the index plane; without a store (or /dev/shm) the
-    # cache still runs, per-process only.
-    plan_cache = getattr(args, "plan_cache", True)
-    shared_plan = None
-    if plan_cache and args.store is not None:
-        lease_ttl = getattr(args, "lease_ttl", 10.0)
-        shared_plan = SharedPlanTier.if_available(
-            str(args.store),
-            f"solo-{os.getpid()}",
-            ttl_seconds=lease_ttl if lease_ttl > 0 else 10.0,
-        )
-        if shared_plan is not None:
-            shared_plan.reap()
-
-    # The cache is built here because --index-cache-size is a cache
-    # knob; the manager only needs build_workers to size its off-loop
-    # executor.
-    return SessionManager(
-        index_cache=IndexCache(
-            capacity=args.index_cache_size, shared=plane
-        ),
-        max_sessions=args.max_sessions,
-        ttl_seconds=args.session_ttl if args.session_ttl > 0 else None,
-        build_workers=args.build_workers,
-        speculate=args.speculate,
-        speculation_slots=args.speculation_slots,
-        speculation_min_think_seconds=args.speculation_min_think,
-        speculation_depth=args.speculation_depth,
-        kernel_batch=args.kernel_batch,
-        batch_window_seconds=args.batch_window,
-        batch_max=args.batch_max,
-        plan_cache=plan_cache,
-        plan_cache_entries=getattr(args, "plan_cache_entries", 1024),
-        shared_plan=shared_plan,
-        store=(
-            SqliteSessionStore(str(args.store))
-            if args.store is not None
-            else None
-        ),
-        checkpoint_every=args.checkpoint_every,
-    )
+    return manager_from_config(_serve_settings(args))
 
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
@@ -577,24 +480,8 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
             "serve --workers requires --store: the fleet's workers "
             "share sessions through the durable store's lease protocol"
         )
-    if args.lease_ttl <= 0:
-        raise SystemExit("--lease-ttl must be positive in fleet mode")
     config = FleetConfig(
-        store_path=str(args.store),
-        workers=args.workers,
-        host=args.host,
-        lease_ttl_seconds=args.lease_ttl,
-        checkpoint_every=args.checkpoint_every,
-        max_sessions=args.max_sessions,
-        ttl_seconds=args.session_ttl if args.session_ttl > 0 else None,
-        build_workers=args.build_workers,
-        speculate=args.speculate,
-        kernel_batch=args.kernel_batch,
-        shared_index=(
-            args.shared_index if args.shared_index is not None else True
-        ),
-        plan_cache=args.plan_cache,
-        plan_cache_entries=args.plan_cache_entries,
+        workers=args.workers, host=args.host, **_serve_settings(args)
     )
 
     async def run() -> None:

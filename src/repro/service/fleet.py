@@ -26,6 +26,10 @@ displaced sessions home.
 
 This module is both sides of the process boundary:
 
+* :func:`manager_from_config` builds every served manager, solo or
+  worker.  Only fleet workers join the ``/dev/shm`` tiers (the shared
+  index plane and the shared plan tier): a solo server has no sibling
+  to share with.
 * ``python -m repro.service.fleet_worker '<json-config>'`` is the
   **worker** entry point: build the manager over the shared store,
   serve with the
@@ -49,7 +53,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Awaitable, Callable
 
@@ -58,7 +62,7 @@ __all__ = [
     "Fleet",
     "FleetServer",
     "WorkerHandle",
-    "manager_from_worker_config",
+    "manager_from_config",
     "worker_main",
 ]
 
@@ -71,9 +75,10 @@ class FleetConfig:
 
     ``store_path`` is the shared SQLite file — the fleet's only shared
     mutable state; every other field is per-worker configuration passed
-    down verbatim.  ``lease_ttl_seconds`` bounds takeover latency after
-    a worker is SIGKILLed: survivors can claim its sessions one TTL
-    after its last heartbeat."""
+    down verbatim to :func:`manager_from_config`, which a solo server
+    calls with the same settings.  ``lease_ttl_seconds`` bounds takeover
+    latency after a worker is SIGKILLed: survivors can claim its
+    sessions one TTL after its last heartbeat."""
 
     store_path: str
     workers: int = 2
@@ -82,15 +87,13 @@ class FleetConfig:
     checkpoint_every: int = 16
     max_sessions: int = 256
     ttl_seconds: float | None = 3600.0
+    #: Distinct instances whose indexes stay cached in each worker.
+    index_cache_size: int = 16
     build_workers: int = 1
     speculate: bool = True
     kernel_batch: bool = True
-    #: Share built indexes machine-wide through ``/dev/shm`` segments
-    #: (see :mod:`repro.service.shm_registry`).  Workers degrade to
-    #: private builds when POSIX shared memory is unavailable.
-    shared_index: bool = True
-    #: Memoise planner entropy tables per worker and share them
-    #: machine-wide through ``/dev/shm`` (see
+    #: Memoise planner entropy tables per worker and share them between
+    #: the workers through ``/dev/shm`` (see
     #: :mod:`repro.service.plan_registry`): each (index, state, depth)
     #: table is computed by one worker and attached by the rest.
     plan_cache: bool = True
@@ -99,85 +102,69 @@ class FleetConfig:
 
     def worker_payload(self, slot: int, owner_id: str) -> dict[str, Any]:
         """The JSON argv one worker subprocess is launched with."""
-        return {
-            "slot": slot,
-            "owner_id": owner_id,
-            "host": self.host,
-            "store_path": self.store_path,
-            "lease_ttl_seconds": self.lease_ttl_seconds,
-            "checkpoint_every": self.checkpoint_every,
-            "max_sessions": self.max_sessions,
-            "ttl_seconds": self.ttl_seconds,
-            "build_workers": self.build_workers,
-            "speculate": self.speculate,
-            "kernel_batch": self.kernel_batch,
-            "shared_index": self.shared_index,
-            "plan_cache": self.plan_cache,
-            "plan_cache_entries": self.plan_cache_entries,
-        }
+        return {**asdict(self), "slot": slot, "owner_id": owner_id}
 
 
 # --- worker side -------------------------------------------------------------
 
 
-def manager_from_worker_config(config: dict[str, Any]):
-    """Build one worker's manager over the shared store.
+def manager_from_config(config: dict[str, Any]):
+    """Build a served manager from :class:`FleetConfig`'s manager
+    settings, keyed by field name (``store_path`` None: no store).
 
-    Separate from :func:`worker_main` so tests can assemble the exact
-    in-worker stack inside one process (same store semantics, no
-    subprocess)."""
+    Only a fleet worker's payload has an ``owner_id``; with it the
+    manager leases its sessions and joins the ``/dev/shm`` tiers, which
+    degrade to private builds and a per-process plan cache when POSIX
+    shared memory is unusable.  Tests call this in-process to assemble
+    the exact in-worker stack without a subprocess."""
+    from .index_cache import IndexCache
     from .manager import SessionManager
     from .plan_registry import SharedPlanTier
     from .shm_registry import SharedIndexPlane
     from .store import SqliteSessionStore
 
-    store = SqliteSessionStore(config["store_path"])
-    plane = None
-    if config.get("shared_index", True):
-        # None when POSIX shared memory is unusable: the worker keeps
-        # its PR 7 behaviour (private per-process builds).
+    store_path = config["store_path"]
+    store = SqliteSessionStore(store_path) if store_path is not None else None
+    owner_id = config.get("owner_id")
+    lease_ttl = config["lease_ttl_seconds"]
+    plan_cache = config["plan_cache"]
+    plane = shared_plan = None
+    if owner_id is not None:
         plane = SharedIndexPlane.if_available(
-            config["store_path"],
-            config["owner_id"],
-            ttl_seconds=config.get("lease_ttl_seconds", 10.0),
+            store_path, owner_id, ttl_seconds=lease_ttl
         )
-        if plane is not None:
-            # Claim anything a crashed predecessor left behind before
-            # the first build races it.
-            plane.reap()
-    plan_cache = config.get("plan_cache", True)
-    shared_plan = None
-    if plan_cache:
-        # Same degradation story as the index plane: no /dev/shm means
-        # the plan cache runs per-process (local LRU only).
-        shared_plan = SharedPlanTier.if_available(
-            config["store_path"],
-            config["owner_id"],
-            ttl_seconds=config.get("lease_ttl_seconds", 10.0),
-        )
-        if shared_plan is not None:
-            shared_plan.reap()
+        if plan_cache:
+            shared_plan = SharedPlanTier.if_available(
+                store_path, owner_id, ttl_seconds=lease_ttl
+            )
+        # Claim anything a crashed predecessor left behind before the
+        # first build or publish races it.
+        for tier in (plane, shared_plan):
+            if tier is not None:
+                tier.reap()
     return SessionManager(
-        max_sessions=config.get("max_sessions", 256),
-        ttl_seconds=config.get("ttl_seconds", 3600.0),
-        build_workers=config.get("build_workers", 1),
-        speculate=config.get("speculate", True),
-        kernel_batch=config.get("kernel_batch", True),
-        store=store,
-        checkpoint_every=config.get("checkpoint_every", 16),
-        owner_id=config["owner_id"],
-        lease_ttl_seconds=config.get("lease_ttl_seconds", 10.0),
-        shared_index=plane,
+        index_cache=IndexCache(
+            capacity=config["index_cache_size"], shared=plane
+        ),
+        max_sessions=config["max_sessions"],
+        ttl_seconds=config["ttl_seconds"],
+        build_workers=config["build_workers"],
+        speculate=config["speculate"],
+        kernel_batch=config["kernel_batch"],
         plan_cache=plan_cache,
-        plan_cache_entries=config.get("plan_cache_entries", 1024),
+        plan_cache_entries=config["plan_cache_entries"],
         shared_plan=shared_plan,
+        store=store,
+        checkpoint_every=config["checkpoint_every"],
+        owner_id=owner_id,
+        lease_ttl_seconds=lease_ttl,
     )
 
 
 async def _serve_worker(config: dict[str, Any]) -> None:
     from .app import ServiceApp, start_server
 
-    manager = manager_from_worker_config(config)
+    manager = manager_from_config(config)
     app = ServiceApp(manager, control=True)
     server = await start_server(app, config.get("host", "127.0.0.1"), 0)
     port = server.sockets[0].getsockname()[1]

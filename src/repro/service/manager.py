@@ -76,6 +76,10 @@ per session id, exactly like a cold index build), restoring strategy
 and rng bit-for-bit.  After a crash (``kill -9``), the same path
 recovers every session whose writes had committed; ``GET /sessions``
 reports live/demoted/recoverable counts.
+
+:func:`repro.service.fleet.manager_from_config` builds every served
+manager, solo or fleet worker; the speculation and batching knobs are
+constructor arguments only, which ``serve`` leaves at their defaults.
 """
 
 from __future__ import annotations
@@ -255,7 +259,6 @@ class SessionManager:
         speculation_depth: int = 2,
         kernel_batch: bool = True,
         batch_window_seconds: float = 0.002,
-        batch_max: int = 64,
         plan_cache: bool = True,
         plan_cache_entries: int = 1024,
         shared_plan=None,
@@ -263,7 +266,6 @@ class SessionManager:
         checkpoint_every: int = 16,
         owner_id: str | None = None,
         lease_ttl_seconds: float = 10.0,
-        shared_index=None,
     ):
         if max_sessions < 1:
             raise ValueError("max_sessions must be positive")
@@ -284,18 +286,9 @@ class SessionManager:
         if lease_ttl_seconds <= 0:
             raise ValueError("lease_ttl_seconds must be positive")
         # `index_cache or ...` would discard an *empty* cache (len 0).
-        # A caller-supplied cache keeps whatever it was configured
-        # with — passing shared_index alongside it would be silently
-        # ignored, so that combination is rejected outright.
-        if index_cache is not None:
-            if shared_index is not None:
-                raise ValueError(
-                    "shared_index is applied to the manager-built cache; "
-                    "construct the supplied IndexCache with shared=..."
-                )
-            self.index_cache = index_cache
-        else:
-            self.index_cache = IndexCache(shared=shared_index)
+        self.index_cache = (
+            index_cache if index_cache is not None else IndexCache()
+        )
         self.max_sessions = max_sessions
         self.ttl_seconds = ttl_seconds
         self.build_workers = build_workers
@@ -321,13 +314,12 @@ class SessionManager:
         #: sharing one index coalesce their L1S/L2S proposal kernels
         #: into stacked contractions within ``batch_window_seconds``.
         self._batcher = (
-            KernelBatchScheduler(
-                window_seconds=batch_window_seconds, max_batch=batch_max
-            )
+            KernelBatchScheduler(window_seconds=batch_window_seconds)
             if kernel_batch
             else None
         )
-        #: Machine-wide plan cache (None when disabled): memoised
+        #: Plan cache (None when disabled; ``shared_plan`` is a fleet
+        #: worker's machine-wide tier): memoised
         #: entropy tables keyed by canonical state key, consulted by the
         #: entropy router before any kernel runs and written through
         #: from both the per-session path and the batch scheduler.  A

@@ -249,26 +249,25 @@ def no_leaked_servers_or_threads():
     )
 
 
+def repro_shm_segments() -> set[str]:
+    """Current ``repro_*`` entries in ``/dev/shm`` (empty off-Linux)."""
+    directory = "/dev/shm"
+    if not os.path.isdir(directory):  # pragma: no cover - non-Linux
+        return set()
+    return {
+        entry for entry in os.listdir(directory) if entry.startswith("repro_")
+    }
+
+
 @pytest.fixture(autouse=True, scope="session")
 def no_leaked_shm_segments():
     """Fail the suite if any test leaves a ``repro_*`` shared-memory
     segment behind: every publish/attach path must unlink on shutdown
     (the CI job runs the same check as a separate step, so a leak is
     caught even if this fixture's teardown is skipped by a crash)."""
-    directory = "/dev/shm"
-
-    def leaked() -> list[str]:
-        if not os.path.isdir(directory):  # pragma: no cover - non-Linux
-            return []
-        return sorted(
-            entry
-            for entry in os.listdir(directory)
-            if entry.startswith("repro_")
-        )
-
-    before = set(leaked())
+    before = repro_shm_segments()
     yield
-    remaining = [name for name in leaked() if name not in before]
+    remaining = sorted(repro_shm_segments() - before)
     assert not remaining, (
         f"leaked shared-memory segments: {remaining}"
     )

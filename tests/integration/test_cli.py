@@ -15,18 +15,9 @@ import pytest
 from repro.cli import build_parser, main
 from repro.relational import Relation, write_csv
 
+from ..conftest import repro_shm_segments
+
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
-SHM_DIR = Path("/dev/shm")
-
-
-def shm_segments() -> set:
-    if not SHM_DIR.is_dir():  # pragma: no cover - non-Linux
-        return set()
-    return {
-        entry.name
-        for entry in SHM_DIR.iterdir()
-        if entry.name.startswith("repro_")
-    }
 
 
 class TestParser:
@@ -43,6 +34,36 @@ class TestParser:
     def test_experiment_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig9"])
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--index-cache-size", "0", "must be a positive integer"),
+            ("--max-sessions", "0", "must be a positive integer"),
+            ("--session-ttl", "-5", "must be non-negative"),
+            ("--lease-ttl", "0", "must be positive"),
+            ("--lease-ttl", "nan", "must be a finite number"),
+            ("--lease-ttl", "inf", "must be a finite number"),
+        ],
+    )
+    def test_serve_rejects_out_of_range_numbers(
+        self, capsys, flag, value, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+
+    def test_serve_session_ttl_zero_disables_eviction(self):
+        from repro.cli import manager_from_args
+
+        args = build_parser().parse_args(["serve", "--session-ttl", "0"])
+        manager = manager_from_args(args)
+        try:
+            assert manager.ttl_seconds is None
+        finally:
+            manager.close()
 
 
 class TestGenerate:
@@ -256,7 +277,7 @@ class TestServeShutdown:
         env["PYTHONPATH"] = SRC_DIR + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        before = shm_segments()
+        before = repro_shm_segments()
         server = subprocess.Popen(
             [
                 sys.executable, "-u", "-m", "repro", "serve",
@@ -304,7 +325,7 @@ class TestServeShutdown:
         server.stdout.close()
         server.stderr.close()
         assert server.returncode == 0, stderr
-        assert shm_segments() - before == set()
+        assert repro_shm_segments() - before == set()
         store = SqliteSessionStore(str(db))
         try:
             stored = store.load(session_id)

@@ -16,11 +16,14 @@ import time
 import pytest
 
 from repro.cli import build_parser, manager_from_args
-from repro.core import IndexBuilder, PerfectOracle
+from repro.core import IndexBuilder, Label, PerfectOracle
 from repro.relational import Instance, JoinPredicate, Relation
 from repro.service import IndexCache, ServiceApp, SessionManager
 from repro.service import index_cache as index_cache_module
 from repro.service.index_cache import instance_fingerprint
+from repro.service.protocol import parse_create_payload
+
+from ..conftest import repro_shm_segments
 
 
 class SlowBuilder(IndexBuilder):
@@ -462,45 +465,14 @@ class TestCliPlumbing:
             manager.close()
 
     def test_serve_speculation_flags(self):
-        args = build_parser().parse_args(
-            [
-                "serve",
-                "--no-speculate",
-                "--speculation-slots",
-                "7",
-                "--speculation-min-think",
-                "0.5",
-                "--speculation-depth",
-                "1",
-            ]
-        )
+        args = build_parser().parse_args(["serve", "--no-speculate"])
         manager = manager_from_args(args)
         try:
             assert manager.speculate is False
-            assert manager.speculation_slots == 7
-            assert manager.speculation_min_think_seconds == 0.5
-            assert manager.speculation_depth == 1
         finally:
             manager.close()
 
     def test_serve_kernel_batch_flags(self):
-        args = build_parser().parse_args(
-            [
-                "serve",
-                "--batch-window",
-                "0.01",
-                "--batch-max",
-                "8",
-            ]
-        )
-        manager = manager_from_args(args)
-        try:
-            batcher = manager._batcher
-            assert batcher is not None
-            assert batcher.window_seconds == 0.01
-            assert batcher.max_batch == 8
-        finally:
-            manager.close()
         args = build_parser().parse_args(["serve", "--no-kernel-batch"])
         manager = manager_from_args(args)
         try:
@@ -529,6 +501,43 @@ class TestCliPlumbing:
             assert manager.checkpoint_every == 5
         finally:
             manager.close()
+            manager.store.close()
+
+    def test_solo_store_server_shares_nothing_through_shm(self, tmp_path):
+        """Only fleet siblings share /dev/shm tiers: a solo server with
+        a store keeps its indexes and plan tables private, so an L2S
+        round publishes no segment."""
+        args = build_parser().parse_args(
+            [
+                "serve",
+                "--store",
+                str(tmp_path / "sessions.db"),
+                "--index-cache-size",
+                "5",
+            ]
+        )
+        before = repro_shm_segments()
+        manager = manager_from_args(args)
+        try:
+            assert manager.index_cache.shared_plane is None
+            assert manager.plan_cache.shared is None
+            stats = manager.stats()
+            assert stats["index_cache"]["capacity"] == 5
+            assert "shared" not in stats["index_cache"]
+            assert "shared" not in stats["plan_cache"]
+            managed = manager.create(
+                parse_create_payload(
+                    {"workload": "tpch/join4", "strategy": "L2S", "seed": 7}
+                )
+            )
+            question = manager.propose_question(managed)
+            manager.record_answer(
+                managed, question.question_id, Label.NEGATIVE
+            )
+            assert manager.propose_question(managed) is not None
+            assert repro_shm_segments() - before == set()
+        finally:
+            manager.close(wait=True)
             manager.store.close()
 
     def test_serve_defaults_no_store(self):

@@ -37,6 +37,7 @@ from repro.service import (
     ServiceClientError,
     SqliteSessionStore,
 )
+from repro.service.fleet import manager_from_config
 
 from .test_store import (
     CRASH_STRATEGIES,
@@ -281,6 +282,33 @@ class TestControlRoutes:
         assert payload["ok"] is True
         assert payload["sessions"] == 0
         manager.close(wait=True)
+
+
+# --- worker assembly ---------------------------------------------------------
+
+
+class TestWorkerAssembly:
+    def test_worker_payload_reaches_the_manager(self, tmp_path):
+        """A worker's manager is built in-process from exactly the
+        payload it is spawned with: the fleet settings reach it, and a
+        leased worker joins both machine-wide /dev/shm tiers."""
+        config = fleet_config(tmp_path, index_cache_size=3)
+        manager = manager_from_config(config.worker_payload(0, "w0g1"))
+        try:
+            assert manager.owner_id == "w0g1"
+            assert manager.lease_ttl_seconds == 1.0
+            assert manager.speculate is False
+            assert manager.store.path == config.store_path
+            stats = manager.stats()
+            assert stats["index_cache"]["capacity"] == 3
+            if index_shm.shared_memory_available():
+                assert manager.index_cache.shared_plane is not None
+                assert manager.plan_cache.shared is not None
+                assert "shared" in stats["index_cache"]
+                assert "shared" in stats["plan_cache"]
+        finally:
+            manager.close(wait=True)
+            manager.store.close()
 
 
 # --- respawn and failover ----------------------------------------------------
