@@ -4,13 +4,13 @@ Measures what the cross-step planner refactor is for:
 
 * ``lookahead_sessions`` — **full-session** L1S/L2S wall-clock,
   incremental planner vs the from-scratch per-step path, on the
-  Figure 7 synthetic configurations (plus the row-scaled largest config
-  from ``bench_build`` and one larger stress config).  Each cell runs a
-  mix of oracles — perfect (paper §5 style), adversarial all-negative
-  (the longest consistent sessions, where negatives accumulate and
-  from-scratch re-scans them every step), and random coin answers — and
-  asserts the two modes ask **bit-for-bit identical question
-  sequences** before any timing is trusted.
+  Figure 7 synthetic configurations (plus the largest one row-scaled
+  and one larger stress config).  Each cell runs a mix of oracles —
+  perfect (paper §5 style), adversarial all-negative (the longest
+  consistent sessions, where negatives accumulate and from-scratch
+  re-scans them every step), and random coin answers — and asserts the
+  two modes ask **bit-for-bit identical question sequences** before any
+  timing is trusted.
 * ``speculation`` — service answer-round latency (``POST answer`` +
   ``GET question``) p50/p95 for L2S with and without speculative
   next-question precompute, with a think-time-paced client: while the
@@ -67,11 +67,10 @@ from repro.service.protocol import CreateSpec
 
 from bench_util import bench_meta, latency_summary
 
-#: The largest Figure 7 configuration, row-scaled (as ``bench_build``
-#: scales it for a ≥10⁶ product) until the signature-class count
-#: saturates (|N| ≈ 101, product ≈ 5.76M) — below that, per-step
-#: matrices are so small that incremental-vs-scratch differences drown
-#: in fixed numpy call overhead.
+#: The largest Figure 7 configuration, row-scaled until the
+#: signature-class count saturates (|N| ≈ 101, product ≈ 5.76M) — below
+#: that, per-step matrices are so small that incremental-vs-scratch
+#: differences drown in fixed numpy call overhead.
 LARGEST_FIG7 = SyntheticConfig(3, 3, 2400, 100)
 
 #: Wall-clock gates on shared CI runners need a measurement tolerance;

@@ -1,10 +1,10 @@
 """CI gate: compare a bench smoke report against its committed baseline.
 
 Every benchmark harness emits a JSON report; the full-run reports are
-committed at the repo root (``BENCH_core.json``, ``BENCH_build.json``,
-``BENCH_plan.json``, ``BENCH_service.json``, ``BENCH_store.json``,
-``BENCH_fleet.json``, ``BENCH_stream.json``) and define the
-performance trajectory the project must not fall off.  CI
+committed at the repo root (``BENCH_core.json``, ``BENCH_plan.json``,
+``BENCH_service.json``, ``BENCH_store.json``, ``BENCH_fleet.json``,
+``BENCH_stream.json``) and define the performance trajectory the
+project must not fall off.  CI
 runs each harness in ``--smoke`` mode and this script checks the smoke
 report against the matching baseline with **per-suite tolerances** —
 smoke instances are tiny and shared runners are noisy, so each suite
@@ -231,25 +231,6 @@ def check_core(report: dict, baseline: dict) -> list[Gate]:
             )
         )
     return gates
-
-
-def check_build(report: dict, baseline: dict) -> list[Gate]:
-    """Streaming peak memory must stay bounded below the monolithic
-    path; the target ratio comes from the committed baseline."""
-    acceptance = report.get("acceptance", {})
-    target = (
-        baseline.get("acceptance", {})
-        .get("targets", {})
-        .get("streaming_peak_ratio_max", 0.75)
-    )
-    ratio = acceptance.get("streaming_peak_ratio")
-    return [
-        _gate(
-            "streaming_peak_ratio",
-            ratio is not None and ratio < target,
-            f"streaming/monolithic peak {ratio} (target < {target})",
-        )
-    ]
 
 
 def check_plan(report: dict, baseline: dict) -> list[Gate]:
@@ -606,7 +587,6 @@ def _shared_index_gates(report: dict) -> list[Gate]:
 
 SUITES = {
     "core": check_core,
-    "build": check_build,
     "plan": check_plan,
     "service": check_service,
     "store": check_store,

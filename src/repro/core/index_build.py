@@ -1,56 +1,48 @@
-"""The signature-index construction pipeline: one join-driven kernel.
+"""The signature-index construction: one join-driven kernel.
 
 The :class:`~repro.core.signatures.SignatureIndex` is the quotient of
 ``D = R × P`` by ``T`` (§4) and the one artifact every strategy and every
 service session depends on.  Besides the pure-Python reference, this
 module holds the only kernel that computes it — the constructor's
-``"numpy"`` backend and every service build run it — as a pipeline over
-**shards**, contiguous ranges of rows of ``R``, each crossed with all
-of ``P``:
+``"numpy"`` backend and every service build run it:
 
-1. a :class:`~repro.relational.source.SignatureSource` supplies the rows
-   (in-memory instance, streamed CSV, or SQLite tables);
-2. each shard runs the join-driven packed-bitset kernel
-   (:func:`shard_signatures`: per attribute pair, a scatter onto the
-   agreeing product positions, or a broadcast compare when they are
-   common), yielding the shard's distinct signatures as packed uint64
-   arrays — counts and minimal product ordinals, never Python dicts per
-   chunk;
-3. :func:`merge_shards` folds the shard histograms with one vectorised
-   ``unique`` (counts sum, ordinals min, representative follows the
-   minimal ordinal), and :func:`index_from_signatures` canonicalises
-   into ``(|signature|, mask)`` order through
+1. :class:`IndexBuilder` encodes both relations once through one shared
+   :class:`~repro.core.signatures.ValueCodec`;
+2. :func:`signature_histogram` walks ``R`` in chunks of at most
+   ``_CHUNK_WORDS`` packed words of the product.  Per chunk, each
+   attribute pair scatters its bit onto the agreeing product positions,
+   or broadcast-compares when they are common, and the chunk's distinct
+   signatures are kept as packed uint64 arrays — counts and minimal
+   product ordinals, never Python dicts per chunk.  One vectorised
+   ``unique`` folds the chunks (counts sum, ordinals min), and the
+   representative is the tuple pair at the minimal ordinal;
+3. :func:`index_from_signatures` canonicalises into
+   ``(|signature|, mask)`` order through
    :func:`~repro.core.signatures.canonical_classes`, the ordering rule
    the constructor and the sampled path share.
 
-Because shards partition the product by ascending row ranges and the
-merge resolves representatives by *global* minimal ordinal, the result
-is bit-for-bit identical for every shard size and source (property-
-tested against the pure-Python reference).  Shards run one after
-another; what they bound is memory: a streaming source hands over one
-block of ``R`` at a time, so the build's arrays never cover more than a
-shard.  The service runs whole builds on a thread pool off its event
-loop — see :mod:`repro.service.index_cache`.
+Because chunks partition the product by ascending rows of ``R`` and the
+fold keeps the minimal ordinal, the result is bit-for-bit identical for
+every chunk size (property-tested against the pure-Python reference).
+The chunk is what bounds memory: beyond the encoded codes and the right
+side's lookup, a build holds a small multiple of one chunk of packed
+words, never the product.  The service runs whole builds on a thread
+pool off its event loop — see :mod:`repro.service.index_cache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..relational.relation import Instance, Row
-from ..relational.source import SignatureSource, as_signature_source
 from . import bitset
 from .signatures import SignatureIndex, ValueCodec, canonical_classes
 
 __all__ = [
     "IndexBuilder",
-    "ShardSignatures",
-    "shard_signatures",
-    "merge_shards",
     "signature_histogram",
     "index_from_signatures",
 ]
@@ -58,7 +50,7 @@ __all__ = [
 TuplePair = tuple[Row, Row]
 
 #: Target packed uint64 words materialised per kernel chunk (~8 MiB), so
-#: a shard never allocates more than a chunk of the product regardless
+#: a build never allocates more than a chunk of the product regardless
 #: of its size.  Chunks cover whole rows of R: the bound is approximate.
 _CHUNK_WORDS = 1 << 20
 
@@ -69,57 +61,18 @@ _CHUNK_WORDS = 1 << 20
 #: more than one compare per position.
 _SCATTER_MAX_SHARE = 8
 
-ProgressCallback = Callable[[int, "int | None"], None]
-
-
-@dataclass(slots=True)
-class ShardSignatures:
-    """The distinct signatures of one shard of ``R × P``.
-
-    ``words[k]`` is a packed mask; ``counts[k]`` how many product tuples
-    of the shard carry it; ``ordinals[k]`` the smallest global product
-    ordinal (``left_index * |P| + right_index``) carrying it; and
-    ``representatives[k]`` the tuple pair at that ordinal.
-    """
-
-    words: np.ndarray  # (k, n_words) uint64
-    counts: np.ndarray  # (k,) int64
-    ordinals: np.ndarray  # (k,) int64
-    representatives: list
-
-    @classmethod
-    def empty(cls, n_words: int) -> "ShardSignatures":
-        return cls(
-            words=np.empty((0, n_words), dtype=np.uint64),
-            counts=np.empty(0, dtype=np.int64),
-            ordinals=np.empty(0, dtype=np.int64),
-            representatives=[],
-        )
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
 
 def _fold(
     words: np.ndarray, counts: np.ndarray, ordinals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Combine duplicate packed masks: counts sum, ordinals min.
-
-    Returns ``(unique_words, counts, ordinals, winners)`` where
-    ``winners[g]`` is the input position whose ordinal attained the
-    minimum for group ``g`` — ordinals are distinct product positions,
-    so exactly one input wins each group.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Combine duplicate packed masks: counts sum, ordinals min."""
     unique, _, inverse, _ = bitset.unique_rows(words)
     groups = len(unique)
     summed = np.zeros(groups, dtype=np.int64)
     np.add.at(summed, inverse, counts)
     minimal = np.full(groups, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(minimal, inverse, ordinals)
-    winners = np.empty(groups, dtype=np.int64)
-    winning = np.nonzero(ordinals == minimal[inverse])[0]
-    winners[inverse[winning]] = winning
-    return unique, summed, minimal, winners
+    return unique, summed, minimal
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,8 +86,8 @@ class _RightLookup:
     ``order[j, starts[j][k] : starts[j][k] + counts[j][k]]``, and the
     sentinel counts zero.  Indexed by each column's own values rather
     than by global code, so it costs ``O(m·|P|)`` however many values
-    the shared codec holds.  Built once per build — the right side is
-    fixed while left blocks stream past.
+    the shared codec holds.  Built once per build, before the chunks of
+    ``R`` pass over it.
     """
 
     order: np.ndarray  # (m, n_right) int64
@@ -263,43 +216,37 @@ def _chunk_histogram(
     )
 
 
-def shard_signatures(
+def signature_histogram(
     left_codes: np.ndarray,
     right_codes: np.ndarray,
     left_rows: Sequence[Row],
     right_rows: Sequence[Row],
-    start_row: int,
-    lookup: _RightLookup | None = None,
-) -> ShardSignatures:
-    """Signatures of left rows ``start_row .. start_row+len(left_rows)``
-    against all right rows, via the join-driven packed-bitset kernel.
+) -> dict[int, tuple[int, TuplePair]]:
+    """The ``{mask: (count, representative)}`` histogram of
+    ``left_rows × right_rows``, via the join-driven packed-bitset
+    kernel.
 
     ``left_codes``/``right_codes`` must come from one shared
     :class:`~repro.core.signatures.ValueCodec` so code equality means
-    value equality across the whole build.  ``lookup`` is the right
-    side's code lookup, built once per build by :class:`IndexBuilder`
-    (and here when omitted); like ``right_codes`` it is ``O(m·|P|)``.
-    Beyond those, peak memory is one chunk of packed words (~8 MiB),
-    not the shard's slice of the product.
+    value equality across the whole build.  Beyond the codes and the
+    right side's ``O(m·|P|)`` lookup, peak memory is a small multiple of
+    one chunk of packed words (~8 MiB), not the product.
     """
-    shard_rows = left_codes.shape[0]
-    n = left_codes.shape[1]
+    n_left, n = left_codes.shape
     n_right, m = right_codes.shape
+    if n_left == 0 or n_right == 0:
+        return {}
     n_words = bitset.words_needed(max(1, n * m))
-    if shard_rows == 0 or n_right == 0:
-        return ShardSignatures.empty(n_words)
-    if lookup is None:
-        lookup = _RightLookup.of(right_codes)
+    lookup = _RightLookup.of(right_codes)
     rows_per_chunk = max(1, _CHUNK_WORDS // (n_right * n_words))
 
     chunk_words: list[np.ndarray] = []
     chunk_counts: list[np.ndarray] = []
     chunk_ordinals: list[np.ndarray] = []
-    for chunk_start in range(0, shard_rows, rows_per_chunk):
-        chunk_stop = min(chunk_start + rows_per_chunk, shard_rows)
+    for chunk_start in range(0, n_left, rows_per_chunk):
         unique, counts, first = _chunk_histogram(
             _chunk_words(
-                left_codes[chunk_start:chunk_stop],
+                left_codes[chunk_start : chunk_start + rows_per_chunk],
                 right_codes,
                 lookup,
                 n_words,
@@ -307,65 +254,19 @@ def shard_signatures(
         )
         chunk_words.append(unique)
         chunk_counts.append(counts)
-        chunk_ordinals.append(
-            (start_row + chunk_start) * n_right
-            + first.astype(np.int64, copy=False)
-        )
+        chunk_ordinals.append(chunk_start * n_right + first)
 
-    words = np.concatenate(chunk_words)
-    counts = np.concatenate(chunk_counts)
-    ordinals = np.concatenate(chunk_ordinals)
-    words, counts, ordinals, _ = _fold(words, counts, ordinals)
-    representatives = [
-        (
-            left_rows[int(ordinal) // n_right - start_row],
-            right_rows[int(ordinal) % n_right],
-        )
-        for ordinal in ordinals
-    ]
-    return ShardSignatures(words, counts, ordinals, representatives)
-
-
-def merge_shards(
-    shards: Sequence[ShardSignatures], n_words: int
-) -> ShardSignatures:
-    """Fold shard histograms into one: counts sum per mask, and the
-    representative follows the globally minimal product ordinal.
-
-    Handles empty shard lists and empty shards (a shard of zero rows
-    contributes nothing), so callers never special-case them.
-    """
-    shards = [shard for shard in shards if len(shard)]
-    if not shards:
-        return ShardSignatures.empty(n_words)
-    if len(shards) == 1:
-        return shards[0]
-    words = np.concatenate([shard.words for shard in shards])
-    counts = np.concatenate([shard.counts for shard in shards])
-    ordinals = np.concatenate([shard.ordinals for shard in shards])
-    representatives: list = []
-    for shard in shards:
-        representatives.extend(shard.representatives)
-    words, counts, ordinals, winners = _fold(words, counts, ordinals)
-    return ShardSignatures(
-        words,
-        counts,
-        ordinals,
-        [representatives[int(winner)] for winner in winners],
+    words, counts, ordinals = _fold(
+        np.concatenate(chunk_words),
+        np.concatenate(chunk_counts),
+        np.concatenate(chunk_ordinals),
     )
-
-
-def signature_histogram(
-    merged: ShardSignatures,
-) -> dict[int, tuple[int, TuplePair]]:
-    """A merged shard fold as ``{mask: (count, representative)}`` — the
-    input shape of :func:`index_from_signatures`, so the kernel and the
-    sampled path share one canonicalisation."""
     return {
-        bitset.unpack_row(row): (int(count), representative)
-        for row, count, representative in zip(
-            merged.words, merged.counts, merged.representatives
+        bitset.unpack_row(row): (
+            int(count),
+            (left_rows[ordinal // n_right], right_rows[ordinal % n_right]),
         )
+        for row, count, ordinal in zip(words, counts, ordinals.tolist())
     }
 
 
@@ -383,80 +284,29 @@ def index_from_signatures(
 
 
 class IndexBuilder:
-    """Builds :class:`SignatureIndex` objects from pluggable sources.
+    """Builds :class:`SignatureIndex` objects through the kernel.
 
-    ``shard_rows`` bounds how many rows of ``R`` one shard covers
-    (``None`` = a single shard).  It exists for streaming sources: a
-    :class:`~repro.relational.source.CsvSource` reads ``R`` one shard at
-    a time, so the build's arrays never cover more than a shard.
-
-    The builder is stateless across builds and safe to share — the
-    service keeps one per :class:`~repro.service.index_cache.IndexCache`.
+    The builder is stateless and safe to share — the service keeps one
+    per :class:`~repro.service.index_cache.IndexCache`, and tests
+    substitute slow or failing subclasses there.
     """
 
-    __slots__ = ("shard_rows",)
+    __slots__ = ()
 
-    def __init__(self, shard_rows: int | None = None):
-        if shard_rows is not None and shard_rows < 1:
-            raise ValueError("shard_rows must be positive or None")
-        self.shard_rows = shard_rows
-
-    def build(
-        self,
-        source: SignatureSource | Instance,
-        progress: ProgressCallback | None = None,
-    ) -> SignatureIndex:
-        """Build the full index for ``source``.
-
-        ``progress(shards_done, shards_total)`` is invoked after every
-        completed shard (``shards_total`` is ``None`` while a streaming
-        source's length is unknown) — the service surfaces it on its
-        build-status endpoint.
-        """
-        source = as_signature_source(source)
-        found = self.histogram(source, progress)
-        # After the histogram: a streaming source has drained its rows
-        # by now, so the instance costs no second read.
-        return index_from_signatures(source.instance(), found)
+    def build(self, instance: Instance) -> SignatureIndex:
+        """Build the full index of ``instance``."""
+        return index_from_signatures(instance, self.histogram(instance))
 
     def histogram(
-        self,
-        source: SignatureSource | Instance,
-        progress: ProgressCallback | None = None,
+        self, instance: Instance
     ) -> dict[int, tuple[int, TuplePair]]:
         """The ``{mask: (count, representative)}`` histogram of
-        ``source``'s product, shard by shard through
-        :func:`shard_signatures`."""
-        source = as_signature_source(source)
-        right_rows = source.right_rows()
-        n = source.left_schema.arity
-        m = source.right_schema.arity
-        if not right_rows:
-            return {}
+        ``instance``'s product, both sides encoded by one codec."""
         codec = ValueCodec()
-        right_codes = codec.encode_rows(right_rows, m)
-        lookup = _RightLookup.of(right_codes)
-        left_count = source.left_count()
-        if self.shard_rows is None:
-            total = 1
-        elif left_count is None:
-            total = None
-        else:
-            total = max(1, ceil(left_count / self.shard_rows))
-
-        shards: list[ShardSignatures] = []
-        for start, rows in source.iter_left_blocks(self.shard_rows):
-            shards.append(
-                shard_signatures(
-                    codec.encode_rows(rows, n),
-                    right_codes,
-                    rows,
-                    right_rows,
-                    start,
-                    lookup,
-                )
-            )
-            if progress is not None:
-                progress(len(shards), total)
-        n_words = bitset.words_needed(max(1, n * m))
-        return signature_histogram(merge_shards(shards, n_words))
+        right_rows = instance.right.rows
+        right_codes = codec.encode_rows(right_rows, instance.right.arity)
+        left_rows = instance.left.rows
+        left_codes = codec.encode_rows(left_rows, instance.left.arity)
+        return signature_histogram(
+            left_codes, right_codes, left_rows, right_rows
+        )

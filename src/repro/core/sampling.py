@@ -80,7 +80,7 @@ def sampled_signature_index(
     # Route the estimate through the build pipeline's canonicalisation
     # (:func:`~repro.core.index_build.index_from_signatures`) so sampled
     # indexes take the same invariant-enforcing tail — ordering, packed
-    # arrays, maximality — as every exact sharded or streamed build.
+    # arrays, maximality — as every exact build.
     scale = instance.cartesian_size / n_pairs
     found = {
         mask: (max(1, round(raw_count * scale)), representative)

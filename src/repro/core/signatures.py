@@ -80,9 +80,8 @@ class ValueCodec:
 
     Equality of codes must coincide with Python equality of values, so
     one codec (one global code table) must cover both relations of a
-    build — the sharded pipeline in :mod:`repro.core.index_build` keeps
-    a single codec alive across all streamed blocks for exactly this
-    reason.
+    build — :class:`~repro.core.index_build.IndexBuilder` encodes both
+    through one codec for exactly this reason.
     """
 
     __slots__ = ("_codes",)

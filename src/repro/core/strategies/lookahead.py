@@ -136,9 +136,6 @@ class LookaheadSkylineStrategy(Strategy):
             self._planner = planner
         return planner
 
-    # Internal callers predate the public name.
-    _planner_for = planner_for
-
     # --- proposal ------------------------------------------------------------
 
     def prime_entropies(

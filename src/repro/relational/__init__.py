@@ -17,17 +17,10 @@ from .algebra import (
     semijoin,
     semijoin_selects,
 )
-from .csv_io import iter_csv_rows, read_csv, read_csv_text, write_csv
+from .csv_io import read_csv, read_csv_text, write_csv
 from .predicate import AttributePair, JoinPredicate
 from .relation import Instance, Relation, Row
 from .schema import Attribute, RelationSchema, SchemaError
-from .source import (
-    CsvSource,
-    InstanceSource,
-    SignatureSource,
-    SqliteSource,
-    as_signature_source,
-)
 
 __all__ = [
     "Attribute",
@@ -38,15 +31,9 @@ __all__ = [
     "RelationSchema",
     "Row",
     "SchemaError",
-    "CsvSource",
-    "InstanceSource",
-    "SignatureSource",
-    "SqliteSource",
-    "as_signature_source",
     "cartesian_product",
     "equijoin",
     "is_nullable",
-    "iter_csv_rows",
     "join_witnesses",
     "project",
     "read_csv",

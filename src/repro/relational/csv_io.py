@@ -4,7 +4,9 @@ CSV has no type information, so values round-trip as strings unless the
 caller opts into ``infer_types=True``, which converts columns that are
 uniformly integral (or uniformly float-like) to numbers.  The equality
 semantics of the inference algorithms are type-sensitive (``"1" != 1``),
-hence the explicit opt-in.
+hence the explicit opt-in.  Reading validates the shape: an empty input
+has no header, blank lines are skipped, and a ragged row is reported
+with its line number.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Hashable
 from .relation import Relation
 from .schema import RelationSchema
 
-__all__ = ["write_csv", "read_csv", "read_csv_text", "iter_csv_rows"]
+__all__ = ["write_csv", "read_csv", "read_csv_text"]
 
 
 def write_csv(relation: Relation, path: str | Path) -> None:
@@ -41,27 +43,23 @@ def _convert_column(values: list[str]) -> list[Hashable]:
         return list(values)
 
 
-def iter_csv_rows(handle, source: str = "CSV"):
-    """Stream validated rows from a header-first CSV handle.
+def _read_csv_handle(
+    handle, name: str, source: str, infer_types: bool
+) -> Relation:
+    """Read a header-first CSV handle into a relation.
 
-    The first yielded tuple is the header; every subsequent tuple is one
-    data row.  Blank physical rows are skipped, and a ragged row raises
+    Blank physical rows are skipped, and a ragged row raises
     :class:`ValueError` with its physical line number
     (``reader.line_num`` tracks physical lines, so error positions stay
     right across blank lines and quoted fields containing newlines).
-
-    This is the streaming entry point used by
-    :class:`~repro.relational.source.CsvSource` — rows are yielded one
-    at a time and never accumulated here, so index builds over huge CSV
-    files keep memory bounded by the consumer's block size.
     """
     reader = csv.reader(handle)
     try:
         header = tuple(next(reader))
     except StopIteration:
         raise ValueError(f"{source} is empty; expected a header row")
-    yield header
     width = len(header)
+    raw_rows = []
     for row in reader:
         if not row:
             continue
@@ -70,16 +68,8 @@ def iter_csv_rows(handle, source: str = "CSV"):
                 f"{source} line {reader.line_num}: expected {width} "
                 f"columns, got {len(row)}"
             )
-        yield tuple(row)
-
-
-def _read_csv_handle(
-    handle, name: str, source: str, infer_types: bool
-) -> Relation:
-    rows = iter_csv_rows(handle, source)
-    header = next(rows)
+        raw_rows.append(tuple(row))
     schema = RelationSchema(name, header)
-    raw_rows = list(rows)
     if not infer_types or not raw_rows:
         return Relation(schema, raw_rows)
     columns = [

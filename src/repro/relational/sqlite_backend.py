@@ -5,9 +5,7 @@ but a downstream user's data usually lives in a database.  This module
 round-trips relations to SQLite tables and evaluates equijoins/semijoins as
 SQL, which serves three purposes:
 
-* loading real data into the inference machinery (``load_relation``;
-  ``load_relation_ordered`` feeds
-  :class:`~repro.relational.source.SqliteSource` index builds),
+* loading real data into the inference machinery (``load_relation``),
 * persisting generated datasets (``store_relation``),
 * cross-validating the pure-Python algebra against a real query engine
   (the test suite checks ``algebra.equijoin == sql_equijoin`` on random
@@ -32,7 +30,6 @@ __all__ = [
     "connect_memory",
     "store_relation",
     "load_relation",
-    "load_relation_ordered",
     "store_instance",
     "sql_equijoin",
     "sql_semijoin",
@@ -94,36 +91,6 @@ def load_relation(
     if limit is not None:
         sql += f" LIMIT {int(limit)}"
     rows = conn.execute(sql).fetchall()
-    return Relation(RelationSchema(table, attributes), rows)
-
-
-def load_relation_ordered(
-    conn: sqlite3.Connection,
-    table: str,
-    attributes: Iterable[str] | None = None,
-) -> Relation:
-    """Like :func:`load_relation` but in guaranteed ``rowid`` order.
-
-    Plain ``SELECT *`` order is an SQLite implementation detail;
-    ordering by ``rowid`` pins first-occurrence order, which is what
-    :class:`~repro.relational.relation.Relation` keeps after
-    de-duplication — and so which tuple represents each signature class
-    of an index built over the loaded rows
-    (:class:`~repro.relational.source.SqliteSource`).  Falls back to the
-    unordered load for tables without a ``rowid`` (``WITHOUT ROWID``
-    tables, and views, whose ``rowid`` reads NULL).
-    """
-    if attributes is None:
-        cursor = conn.execute(f"SELECT * FROM {_quote(table)} LIMIT 0")
-        attributes = [description[0] for description in cursor.description]
-    attributes = list(attributes)
-    cols = ", ".join(_quote(a) for a in attributes)
-    try:
-        rows = conn.execute(
-            f"SELECT {cols} FROM {_quote(table)} ORDER BY rowid"
-        ).fetchall()
-    except sqlite3.OperationalError:
-        return load_relation(conn, table, attributes)
     return Relation(RelationSchema(table, attributes), rows)
 
 

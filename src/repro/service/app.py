@@ -26,7 +26,7 @@ DELETE      ``/sessions/{id}``              drop the session
 GET         ``/sessions/{id}/stream``       SSE: per-session event feed (push)
 GET         ``/events/stream``              SSE: service-wide event feed
 GET         ``/dashboard``                  incrementally maintained aggregates
-GET         ``/builds``                     progress of in-flight index builds
+GET         ``/builds``                     in-flight index builds and waiters
 GET         ``/stats``                      server + index-cache counters
 ==========  ==============================  =====================================
 
@@ -49,7 +49,7 @@ sequences bit-for-bit comparable.
 
 Cold index builds run on the manager's worker pool (single-flight per
 fingerprint), so while one client waits for a large build, every other
-session keeps answering and ``GET /builds`` reports shard progress.
+session keeps answering and ``GET /builds`` lists the builds in flight.
 
 Fleet workers (``ServiceApp(control=True)``) additionally expose
 worker-internal control routes the front router drives — never meant

@@ -19,8 +19,9 @@ substitute a slow one).  Two build paths exist:
   serving every other session, and concurrent *async* requests for the
   same key are **single-flight** — the first awaits the executor, later
   arrivals await the same in-flight future, and exactly one build ever
-  runs.  In-flight builds publish shard-level progress
-  (:class:`BuildStatus`, surfaced on ``GET /builds``).
+  runs.  Each in-flight build has a :class:`BuildStatus` (key, waiters,
+  elapsed time), surfaced on ``GET /builds``.  The server computes the
+  key itself, hashing on its own pool (see ``SessionManager.offload``).
 
 One cache instance belongs to one concurrency domain: either the event
 loop (async methods; worker threads only ever run the builder, never
@@ -107,26 +108,17 @@ def instance_fingerprint(instance: Instance) -> str:
 
 @dataclass(slots=True)
 class BuildStatus:
-    """Progress of one in-flight index build (read across threads).
-
-    The builder's worker thread bumps ``shards_done``/``shards_total``;
-    the event loop reads them for the build-status endpoint.  Plain
-    attribute writes are atomic under the GIL, so no locking is needed
-    for this monitoring-only data.
-    """
+    """One in-flight index build, as the event loop sees it: the key,
+    when it started, and how many requests wait on it."""
 
     key: str
     started: float = field(default_factory=time.monotonic)
-    shards_done: int = 0
-    shards_total: int | None = None
     waiters: int = 0
 
     def payload(self) -> dict[str, Any]:
         """The JSON shape served by ``GET /builds``."""
         return {
             "key": self.key,
-            "shards_done": self.shards_done,
-            "shards_total": self.shards_total,
             "waiters": self.waiters,
             "elapsed_seconds": round(time.monotonic() - self.started, 3),
         }
@@ -216,34 +208,10 @@ class IndexCache:
             self._hits += 1
             return index, True
         self._misses += 1
-        index, kind = self._resolve_miss(key, make_instance, None)
+        index, kind = self._resolve_miss(key, make_instance)
         return self._store(key, index, kind), False
 
     # --- asynchronous single-flight path -----------------------------------
-
-    async def get_or_build_async(
-        self, instance: Instance, executor=None
-    ) -> tuple[SignatureIndex, bool]:
-        """Async twin of :meth:`get_or_build` (single-flight, off-loop).
-
-        The content fingerprint walks every cell, so for not-yet-memoised
-        instances it is computed on ``executor`` too — a ~10⁶-cell upload
-        must not stall the loop hashing, any more than building.  Note
-        ``executor`` serves both the hash and the build here; a caller
-        that wants hashing kept off a busy build pool (the service does
-        — see ``SessionManager.offload``) should hash on its own pool
-        and call :meth:`get_or_build_keyed_async` directly.
-        """
-        if instance._content_fingerprint is not None:
-            key = instance._content_fingerprint
-        else:
-            loop = asyncio.get_running_loop()
-            key = await loop.run_in_executor(
-                executor, instance_fingerprint, instance
-            )
-        return await self.get_or_build_keyed_async(
-            key, lambda: instance, executor
-        )
 
     async def get_or_build_keyed_async(
         self, key: str, make_instance, executor=None
@@ -254,8 +222,8 @@ class IndexCache:
         A cold key starts exactly one build on ``executor`` (``None`` =
         the loop's default pool); every concurrent request for the same
         key awaits that build's future and counts as a cache hit.  The
-        event loop never blocks — while shards grind on worker threads,
-        unrelated sessions keep answering.
+        event loop never blocks — while the build grinds on a worker
+        thread, unrelated sessions keep answering.
 
         The build is driven by a task owned by the cache, and every
         requester awaits the shared future through
@@ -291,7 +259,7 @@ class IndexCache:
         status = BuildStatus(key=key)
         self._pending[key] = (future, status)
         task = loop.create_task(
-            self._drive_build(key, make_instance, status, future, executor)
+            self._drive_build(key, make_instance, future, executor)
         )
         self._build_tasks.add(task)
         task.add_done_callback(self._build_tasks.discard)
@@ -301,7 +269,6 @@ class IndexCache:
         self,
         key: str,
         make_instance,
-        status: BuildStatus,
         future: asyncio.Future,
         executor,
     ) -> None:
@@ -309,7 +276,7 @@ class IndexCache:
         loop = asyncio.get_running_loop()
         try:
             index, kind = await loop.run_in_executor(
-                executor, self._resolve_miss, key, make_instance, status
+                executor, self._resolve_miss, key, make_instance
             )
         except BaseException as exc:
             if not future.done():
@@ -330,7 +297,7 @@ class IndexCache:
     # --- internals ----------------------------------------------------------
 
     def _resolve_miss(
-        self, key: str, make_instance, status: BuildStatus | None
+        self, key: str, make_instance
     ) -> tuple[SignatureIndex, str]:
         """Resolve a cold key on a worker thread: attach tier, then build.
 
@@ -338,17 +305,15 @@ class IndexCache:
         a sibling's shared segment), ``"publish"`` (built locally and
         published the segment), or ``"build"`` (private build — no
         shared plane, or the plane degraded).  Counter bumps are plain
-        GIL-atomic writes, same as :class:`BuildStatus`.
+        GIL-atomic writes.
         """
         instance = make_instance()
         if self._shared is not None:
             index, kind = self._shared.get_or_build(
-                key,
-                instance,
-                lambda inst: self._run_build(inst, status),
+                key, instance, self._builder.build
             )
         else:
-            index, kind = self._run_build(instance, status), "build"
+            index, kind = self._builder.build(instance), "build"
         if kind == "attach":
             self._attach_hits += 1
         else:
@@ -356,18 +321,6 @@ class IndexCache:
             if kind == "publish":
                 self._publishes += 1
         return index, kind
-
-    def _run_build(
-        self, instance: Instance, status: BuildStatus | None
-    ) -> SignatureIndex:
-        """Run the builder over a materialised instance (worker thread)."""
-
-        def progress(done: int, total: int | None) -> None:
-            if status is not None:
-                status.shards_done = done
-                status.shards_total = total
-
-        return self._builder.build(instance, progress=progress)
 
     def _store(
         self, key: str, index: SignatureIndex, kind: str = "build"

@@ -1615,9 +1615,11 @@ class SessionManager:
     def flush_store(self) -> None:
         """Block until every enqueued store op has committed.
 
-        For embedders and tests that need a durability barrier (e.g.
-        before deliberately killing the process); the serving path never
-        calls this.
+        The durability barrier of a drain: ``POST /control/drain`` and
+        ``/control/demote`` run it off-loop before replying, and a fleet
+        worker runs it on SIGTERM.  Embedders and tests use it before
+        deliberately killing the process.  Answers and creates do not
+        wait for it.
         """
         futures = []
         for managed in list(self._sessions.values()):

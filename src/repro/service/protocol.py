@@ -279,9 +279,10 @@ def progress_payload(session: InferenceSession) -> dict[str, Any]:
 
 def builds_payload(statuses: list[dict[str, Any]]) -> dict[str, Any]:
     """The ``GET /builds`` response: in-flight index builds, oldest
-    first, each with shard progress and waiter count (the shape the
-    :class:`~repro.service.index_cache.BuildStatus` payloads already
-    carry — wrapped here so the wire shape is owned by the protocol)."""
+    first, each with its key, waiter count and elapsed seconds (the
+    shape the :class:`~repro.service.index_cache.BuildStatus` payloads
+    already carry — wrapped here so the wire shape is owned by the
+    protocol)."""
     return {"builds": statuses, "in_flight": len(statuses)}
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relational import Relation
-from repro.relational.csv_io import read_csv, write_csv
+from repro.relational.csv_io import read_csv, read_csv_text, write_csv
 
 
 class TestRoundTrip:
@@ -59,3 +59,23 @@ class TestRoundTrip:
         path = tmp_path / "dups.csv"
         path.write_text("a\nx\nx\n")
         assert len(read_csv(path, "Dups")) == 1
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "text,line",
+        [("A1,A2\n1,2\n3\n", 3), ("A1,A2\n1,2\n\n3\n", 4)],
+        ids=["ragged", "ragged_after_blank_line"],
+    )
+    def test_ragged_row_raises_with_line_number(self, text, line):
+        """Line numbers are physical: blank lines count."""
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            read_csv_text(text, "R")
+
+    def test_blank_lines_skipped(self):
+        relation = read_csv_text("A,B\n\n1,2\n", "R")
+        assert relation.rows == (("1", "2"),)
+
+    def test_empty_csv_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            read_csv_text("", "R")

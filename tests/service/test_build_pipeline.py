@@ -3,7 +3,7 @@
 The serving contract of ISSUE 3: concurrent creates on the same cold
 fingerprint are single-flight (exactly one build, asserted via cache
 stats), a large build in flight never stalls unrelated sessions
-(p95-bounded answer latency), ``GET /builds`` exposes progress, the
+(p95-bounded answer latency), ``GET /builds`` lists in-flight builds, the
 ``instance_fingerprint`` hash is memoised per instance, and the
 ``serve`` CLI flags reach the manager.
 """
@@ -30,15 +30,14 @@ class SlowBuilder(IndexBuilder):
     """A builder that grinds for a fixed wall-clock before building —
     deterministic stand-in for a ≫10⁷-tuple cold build."""
 
-    def __init__(self, delay: float, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, delay: float):
         self.delay = delay
         self.builds = 0
 
-    def build(self, source, progress=None):
+    def build(self, instance):
         self.builds += 1
         time.sleep(self.delay)
-        return super().build(source, progress=progress)
+        return super().build(instance)
 
 
 def csv_payload(value: int = 1) -> dict:
@@ -145,7 +144,7 @@ class TestSingleFlight:
 
     def test_failed_build_propagates_to_all_waiters(self):
         class ExplodingBuilder(IndexBuilder):
-            def build(self, source, progress=None):
+            def build(self, instance):
                 time.sleep(0.05)
                 raise RuntimeError("disk on fire")
 
@@ -328,6 +327,7 @@ class TestBuildStatusEndpoint:
             app.manager.close()
         assert during["in_flight"] == 1
         (build,) = during["builds"]
+        assert set(build) == {"key", "waiters", "elapsed_seconds"}
         assert build["elapsed_seconds"] >= 0
         assert build["waiters"] == 0
         assert after == {"builds": [], "in_flight": 0}
@@ -364,8 +364,8 @@ class TestBuildStatusEndpoint:
 
 class TestGetOrBuildAsync:
     def test_hashes_and_builds_off_loop_single_flight(self):
-        """The instance-keyed async API: one build for value-identical
-        instances, fingerprints memoised on the way through."""
+        """The server's async API, keyed by content fingerprint: one
+        build for value-identical instances."""
         cache = IndexCache(builder=SlowBuilder(0.05))
         instance_a = Instance(
             Relation.build("R", ["A1"], [(1,), (2,)]),
@@ -376,17 +376,19 @@ class TestGetOrBuildAsync:
             Relation.build("P", ["B1"], [(1,)]),
         )
 
-        async def scenario():
-            return await asyncio.gather(
-                cache.get_or_build_async(instance_a),
-                cache.get_or_build_async(instance_b),
+        def keyed(instance):
+            return cache.get_or_build_keyed_async(
+                instance_fingerprint(instance), lambda: instance
             )
+
+        async def scenario():
+            return await asyncio.gather(keyed(instance_a), keyed(instance_b))
 
         (index_a, hit_a), (index_b, hit_b) = asyncio.run(scenario())
         assert index_a is index_b
         assert sorted((hit_a, hit_b)) == [False, True]
         assert cache.stats()["misses"] == 1
-        assert instance_a._content_fingerprint is not None
+        assert cache.builder.builds == 1
 
 
 class TestFingerprintMemoisation:
@@ -452,8 +454,7 @@ class TestCliPlumbing:
         assert args.build_workers == 1
         manager = manager_from_args(args)
         try:
-            builder = manager.index_cache.builder
-            assert builder.shard_rows is None
+            assert type(manager.index_cache.builder) is IndexBuilder
             # speculation defaults: on, depth 2, one full tree
             # (2^(depth+1) - 2 = 6 nodes) per build worker
             assert manager.speculate is True

@@ -521,7 +521,9 @@ class TestIndexCacheAttachTier:
             cache_a.get_or_build(instance)
 
             async def attach():
-                return await cache_b.get_or_build_async(instance)
+                return await cache_b.get_or_build_keyed_async(
+                    instance_fingerprint(instance), lambda: instance
+                )
 
             index, cached = asyncio.run(attach())
             assert not cached

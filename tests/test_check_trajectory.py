@@ -61,25 +61,6 @@ class TestCoreSuite:
         assert failed_names(gates) == ["has_cells"]
 
 
-class TestBuildSuite:
-    def test_target_comes_from_baseline(self):
-        baseline = {
-            "acceptance": {"targets": {"streaming_peak_ratio_max": 0.5}}
-        }
-        good = {"acceptance": {"streaming_peak_ratio": 0.4}}
-        bad = {"acceptance": {"streaming_peak_ratio": 0.6}}
-        assert failed_names(
-            check_trajectory.check_build(good, baseline)
-        ) == []
-        assert failed_names(
-            check_trajectory.check_build(bad, baseline)
-        ) == ["streaming_peak_ratio"]
-
-    def test_missing_ratio_fails(self):
-        gates = check_trajectory.check_build({"acceptance": {}}, {})
-        assert failed_names(gates) == ["streaming_peak_ratio"]
-
-
 class TestPlanSuite:
     def acceptance(self, **overrides):
         base = {
