@@ -26,9 +26,10 @@ observability plane costs:
   (one selector drains all sockets) the way real feed consumers do —
   measuring them in-process would charge the server's answer latency
   for its clients' GIL time.  Server-side, every event's SSE frame is
-  encoded once, and the off-loop ``service-feed`` thread coalesces
-  frames into shared chunks sent to every socket, so the gate is
-  answer p95 with fan-out staying within 25 % of the bare run on the
+  encoded once, and a coalescer on the server's event loop writes the
+  frames buffered since its last send cycle (at most one cycle per
+  50 ms) to every socket as one shared chunk, so the gate is answer
+  p95 with fan-out staying within 25 % of the bare run on the
   committed full run (the CI smoke cell tolerates more noise; see
   ``check_trajectory.py``).  ``cpu_count`` is recorded in the report
   so gate readers can see how much true overlap the runner allowed.

@@ -14,8 +14,8 @@ restarts.  :class:`~repro.service.client.ServiceClient` is the matching
 stdlib client; ``repro-join serve`` starts a server from the CLI.
 
 Sessions become *durable* when the manager is given a
-:class:`~repro.service.store.SessionStore` (``repro-join serve --store
-sessions.db``): answers journal to SQLite in WAL mode, eviction demotes
+:class:`~repro.service.store.SqliteSessionStore` (``repro-join serve
+--store sessions.db``): answers journal to SQLite in WAL mode, eviction demotes
 to disk instead of deleting, and any session — including one orphaned
 by a crash — rehydrates transparently on its next touch.
 
@@ -83,8 +83,6 @@ from .shm_registry import (
 from .store import (
     Lease,
     LeaseFenced,
-    MemorySessionStore,
-    SessionStore,
     SqliteSessionStore,
     StoredSession,
     StoreError,
@@ -109,7 +107,6 @@ __all__ = [
     "Lease",
     "LeaseFenced",
     "ManagedSession",
-    "MemorySessionStore",
     "NotFound",
     "PLAN_SEGMENT_PREFIX",
     "PublishTicket",
@@ -121,7 +118,6 @@ __all__ = [
     "ServiceFeedBroadcaster",
     "ServiceServer",
     "SessionManager",
-    "SessionStore",
     "SharedIndexPlane",
     "SharedPlanTier",
     "ShmRegistry",

@@ -73,10 +73,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import os
-import socket
 import threading
-import time
 import weakref
 from typing import Any
 
@@ -127,6 +124,19 @@ _STREAM_CLOSE_KINDS = frozenset(
     {"done", "session_deleted", "session_demoted", "session_expired"}
 )
 
+#: Idle gap after which a stream writes an SSE keep-alive comment, so
+#: half-open sockets die fast on both ends.
+_HEARTBEAT_SECONDS = 15.0
+
+#: Floor between two service-feed send cycles: every frame published
+#: inside one window shares one chunk, so a busy feed costs at most 20
+#: write sweeps a second however fast sessions answer.
+_FEED_CYCLE_SECONDS = 0.05
+
+#: SSE comment — ignored by consumers, but it exercises the socket so a
+#: half-open connection fails fast.
+_KEEP_ALIVE = b": keep-alive\n\n"
+
 
 class EventStream:
     """A streaming response: ``dispatch`` returns one of these instead
@@ -145,7 +155,6 @@ class EventStream:
         *,
         initial: list[tuple[str, bytes]] | None = None,
         close_kinds: frozenset[str] = frozenset(),
-        heartbeat_seconds: float = 15.0,
         broadcast: bool = False,
     ):
         self.subscription = subscription
@@ -154,7 +163,6 @@ class EventStream:
         #: under the session lock so it is gap-free with the queue.
         self.initial = initial or []
         self.close_kinds = close_kinds
-        self.heartbeat_seconds = heartbeat_seconds
         self.broadcast = broadcast
 
     def close(self) -> None:
@@ -163,238 +171,117 @@ class EventStream:
 
 
 class ServiceFeedBroadcaster:
-    """Off-loop coalescing fan-out for ``GET /events/stream`` sockets.
+    """Coalescing fan-out for ``GET /events/stream`` sockets, paced on
+    the server's event loop.
 
     Per-subscriber queues price fan-out at O(subscribers) scheduled
-    callbacks per event: at 256 subscribers every answer wakes 256 pump
-    coroutines (each write + drain) ahead of the next request handler,
-    and answer p95 pays for all of them.  Even coalesced onto the loop,
-    256 socket writes per event burst still show up in the answer tail
-    — so the broadcaster takes the writes *off the loop entirely*.  A
-    single ``service-feed`` thread owns every subscriber socket after
-    its snapshot is flushed: the bus's ``service_sink`` appends frames
-    to a list under a condition variable (O(1) per event on the loop),
-    and the thread drains whatever accumulated while it was last busy
-    into ONE HTTP chunk — whole SSE frames only, so the fleet router's
-    chunk-at-a-time proxying stays frame-atomic — and sends the same
-    bytes object to every socket with non-blocking ``send`` (each
-    syscall drops the GIL, so request handling proceeds).  Writing at
-    most as fast as it can drain makes the coalescing self-pacing:
-    the busier the feed, the more frames each chunk carries.
+    callbacks per event: at 256 subscribers every answer would wake 256
+    pump coroutines (each a write + drain) ahead of the next request
+    handler.  The broadcaster instead buffers each event's frame (the
+    bus's ``service_sink``: O(1) per event) and arms one
+    ``loop.call_later`` send cycle — at once after an idle spell, then
+    at most one per ``_FEED_CYCLE_SECONDS`` — which joins everything
+    buffered into ONE HTTP chunk (whole SSE frames only, so the fleet
+    router's chunk-at-a-time proxying stays frame-atomic) and
+    ``transport.write``s the same bytes object to every subscriber.
+    The busier the feed, the more frames each chunk carries.
 
-    Backpressure is eviction, not stalling: a partial send parks the
-    remainder in that subscriber's pending buffer (retried next cycle),
-    and a subscriber whose pending passes ``max_buffer_bytes`` is
-    aborted so one slow reader can never wedge the feed (the same
-    drop-don't-block stance as
-    :class:`~repro.service.events.EventSubscription`).  The thread
-    also owns the keep-alive: an SSE comment chunk to everyone after
-    ``heartbeat_seconds`` of feed silence.
+    Backpressure is eviction, not stalling: a subscriber whose
+    transport holds more than ``max_buffer_bytes`` unsent is aborted,
+    so one slow reader can never wedge the feed or grow memory without
+    bound (the drop-don't-block stance of
+    :class:`~repro.service.events.EventSubscription`).  A loop timer
+    writes an SSE keep-alive comment to everyone after
+    ``_HEARTBEAT_SECONDS`` of feed silence.
 
-    ``register``/``unregister``/``enqueue`` run on the server's event
-    loop thread (``EventBus._deliver`` marshals off-loop publishes via
-    ``call_soon_threadsafe`` before invoking the sink); ``stop`` may
-    be called from any thread.
+    Every method runs on the server's event loop (``EventBus._deliver``
+    marshals off-loop publishes onto it before invoking the sink).
     """
 
-    def __init__(
-        self,
-        bus: EventBus,
-        *,
-        max_buffer_bytes: int = 4 * 1024 * 1024,
-        heartbeat_seconds: float = 15.0,
-        min_cycle_seconds: float = 0.05,
-        yield_every: int = 64,
-    ):
+    #: Unsent bytes a subscriber's transport may hold before the feed
+    #: aborts it.
+    max_buffer_bytes = 4 * 1024 * 1024
+
+    def __init__(self, bus: EventBus):
         self._bus = bus
-        self._cond = threading.Condition()
-        #: frames awaiting the next send cycle (guarded by _cond)
+        self._writers: set[asyncio.StreamWriter] = set()
+        #: frames awaiting the next send cycle
         self._frames: list[bytes] = []
-        #: writer -> [dup'd socket, per-socket unsent remainder].  The
-        #: dup keeps our fd valid whatever the transport does, so a
-        #: send can never race transport teardown into a recycled fd.
-        self._targets: dict[asyncio.StreamWriter, list] = {}
-        #: dup'd sockets of unregistered writers, closed by the feed
-        #: thread between cycles (never under a possibly-mid-send peer)
-        self._retired: list[socket.socket] = []
-        self._stopped = False
-        self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self.max_buffer_bytes = max_buffer_bytes
-        self.heartbeat_seconds = heartbeat_seconds
-        #: Floor between send cycles: an unthrottled thread cycling
-        #: per event fights the loop for the GIL; pacing it batches
-        #: more frames per chunk and leaves the loop long quiet runs.
-        self.min_cycle_seconds = min_cycle_seconds
-        #: Sockets sent between explicit GIL yields.  ``send`` drops
-        #: the GIL only for the syscall, and the releasing thread wins
-        #: the re-acquire until the interpreter's switch interval (5ms
-        #: default) forces a handoff — a large send loop would hold
-        #: request handling off the CPU for that long.  A real sleep
-        #: every ``yield_every`` sockets hands the loop the GIL now,
-        #: bounding the feed's contiguous hold to well under 1ms.
-        self.yield_every = yield_every
+        self._cycle: asyncio.TimerHandle | None = None
+        self._keep_alive: asyncio.TimerHandle | None = None
+        self._last_cycle = float("-inf")
+        self._last_write = 0.0
 
     def register(self, writer: asyncio.StreamWriter) -> None:
-        """Hand one subscriber socket to the feed thread.  Loop thread
-        only, and only once the transport's write buffer is empty —
-        from here on the thread is the socket's sole writer."""
-        sock = writer.get_extra_info("socket")
-        if sock is None:
-            raise RuntimeError("transport exposes no raw socket")
-        dup = socket.socket(fileno=os.dup(sock.fileno()))
-        dup.setblocking(False)
+        """Add one subscriber; the feed writes to it from now on."""
         loop = asyncio.get_running_loop()
-        with self._cond:
-            self._loop = loop
-            self._targets[writer] = [dup, b""]
-            if self._thread is None or not self._thread.is_alive():
-                self._stopped = False
-                self._thread = threading.Thread(
-                    target=self._run, name="service-feed", daemon=True
-                )
-                self._thread.start()
+        self._loop = loop
+        self._writers.add(writer)
         self._bus.sink_attached(loop)
+        if self._keep_alive is None:
+            self._last_write = loop.time()
+            self._keep_alive = loop.call_later(
+                _HEARTBEAT_SECONDS, self._heartbeat
+            )
 
     def unregister(self, writer: asyncio.StreamWriter) -> None:
-        """Detach one socket; idempotent, because the thread may
+        """Detach one subscriber; idempotent, because a send cycle may
         already have evicted the writer its serving coroutine is
         tearing down."""
-        with self._cond:
-            entry = self._targets.pop(writer, None)
-            if entry is not None:
-                thread_alive = (
-                    self._thread is not None and self._thread.is_alive()
-                )
-                if thread_alive:
-                    self._retired.append(entry[0])
-                else:
-                    entry[0].close()
-        if entry is not None:
-            self._bus.sink_detached()
+        if writer not in self._writers:
+            return
+        self._writers.remove(writer)
+        self._bus.sink_detached()
+        if not self._writers:
+            for handle in (self._cycle, self._keep_alive):
+                if handle is not None:
+                    handle.cancel()
+            self._cycle = self._keep_alive = None
+            self._frames.clear()
 
     def enqueue(self, frame: bytes) -> None:
         """The bus's ``service_sink`` hook — one call per published
         event; the send cycle amortises across whatever accumulates."""
-        with self._cond:
-            if not self._targets:
-                return
-            self._frames.append(frame)
-            self._cond.notify()
-
-    def stop(self) -> None:
-        """Stop and join the feed thread (server shutdown)."""
-        with self._cond:
-            self._stopped = True
-            thread = self._thread
-            self._thread = None
-            self._cond.notify()
-        if thread is not None:
-            thread.join(timeout=10)
-        with self._cond:
-            leftovers = [
-                entry[0] for entry in self._targets.values()
-            ] + self._retired
-            self._targets.clear()
-            self._retired.clear()
-        for sock in leftovers:
-            sock.close()
-
-    # --- feed thread ---------------------------------------------------------
-
-    def _run(self) -> None:
-        last_send = time.monotonic()
-        last_cycle = 0.0
-        while True:
-            with self._cond:
-                if not self._frames and not self._stopped:
-                    retry = any(
-                        entry[1] for entry in self._targets.values()
-                    )
-                    idle = time.monotonic() - last_send
-                    self._cond.wait(
-                        timeout=(
-                            0.05
-                            if retry
-                            else max(
-                                self.heartbeat_seconds - idle, 0.01
-                            )
-                        )
-                    )
-                if self._stopped:
-                    return
-                frames, self._frames = self._frames, []
-                targets = list(self._targets.items())
-                retired, self._retired = self._retired, []
-            for sock in retired:
-                sock.close()
-            if not targets:
-                last_send = time.monotonic()
-                continue
-            if frames:
-                gap = self.min_cycle_seconds - (
-                    time.monotonic() - last_cycle
-                )
-                if gap > 0:
-                    time.sleep(gap)
-                with self._cond:
-                    # Frames that arrived during the pacing sleep join
-                    # this cycle's chunk — the throttle IS the batcher.
-                    if self._frames:
-                        frames.extend(self._frames)
-                        self._frames = []
-                last_cycle = time.monotonic()
-            if (
-                not frames
-                and time.monotonic() - last_send
-                >= self.heartbeat_seconds
-            ):
-                # SSE comment — ignored by consumers, but it exercises
-                # every socket so half-open connections fail fast.
-                frames = [b": keep-alive\n\n"]
-            chunk = _chunk(b"".join(frames)) if frames else b""
-            if frames:
-                last_send = time.monotonic()
-            for index, (writer, entry) in enumerate(targets):
-                if index and index % self.yield_every == 0:
-                    time.sleep(0.0002)  # hand the loop the GIL
-                sock, pending = entry
-                # The hot path sends the SAME bytes object to every
-                # socket; only a lagging subscriber pays a concat.
-                data = pending + chunk if pending else chunk
-                if not data:
-                    continue
-                try:
-                    sent = sock.send(data)
-                except (BlockingIOError, InterruptedError):
-                    sent = 0
-                except OSError:
-                    self._evict(writer)
-                    continue
-                rest = data[sent:]
-                if len(rest) > self.max_buffer_bytes:
-                    self._evict(writer)
-                    continue
-                entry[1] = rest
-
-    def _evict(self, writer: asyncio.StreamWriter) -> None:
-        """Drop a dead or hopelessly lagging subscriber (feed thread).
-        The transport is aborted *on the loop* — closing the raw fd
-        from this thread would yank it out from under the selector."""
-        self.unregister(writer)
-        loop = self._loop
-        if loop is None or loop.is_closed():
+        if not self._writers:
             return
-        try:
-            loop.call_soon_threadsafe(_abort_writer, writer)
-        except RuntimeError:
-            pass  # loop closed mid-eviction; the socket dies with it
+        self._frames.append(frame)
+        if self._cycle is None:
+            delay = (
+                self._last_cycle + _FEED_CYCLE_SECONDS - self._loop.time()
+            )
+            self._cycle = self._loop.call_later(
+                max(delay, 0.0), self._send_cycle
+            )
 
+    def _send_cycle(self) -> None:
+        self._cycle = None
+        self._last_cycle = self._loop.time()
+        frames, self._frames = self._frames, []
+        self._send(b"".join(frames))
 
-def _abort_writer(writer: asyncio.StreamWriter) -> None:
-    transport = writer.transport
-    if transport is not None:
-        transport.abort()
+    def _heartbeat(self) -> None:
+        self._keep_alive = None
+        idle = self._loop.time() - self._last_write
+        if idle >= _HEARTBEAT_SECONDS:
+            self._send(_KEEP_ALIVE)
+            idle = 0.0
+        if self._writers:
+            self._keep_alive = self._loop.call_later(
+                _HEARTBEAT_SECONDS - idle, self._heartbeat
+            )
+
+    def _send(self, payload: bytes) -> None:
+        """Write one chunk to every subscriber, aborting any whose
+        unsent backlog passes the cap."""
+        self._last_write = self._loop.time()
+        chunk = _chunk(payload)
+        for writer in list(self._writers):
+            transport = writer.transport
+            transport.write(chunk)
+            if transport.get_write_buffer_size() > self.max_buffer_bytes:
+                self.unregister(writer)
+                transport.abort()
 
 
 class ServiceApp:
@@ -405,21 +292,15 @@ class ServiceApp:
         manager: SessionManager | None = None,
         *,
         control: bool = False,
-        heartbeat_seconds: float = 15.0,
     ):
         # `manager or ...` would discard an *empty* manager (it has len 0).
         self.manager = manager if manager is not None else SessionManager()
         #: Expose the worker-internal ``/control/*`` routes (fleet
         #: workers only; a public-facing server keeps them 404).
         self.control = control
-        #: Idle gap after which a stream writes an SSE keep-alive
-        #: comment, so half-open sockets die fast on both ends.
-        self.heartbeat_seconds = heartbeat_seconds
         #: Shared coalescing writer behind every ``GET /events/stream``
         #: socket; the bus invokes ``enqueue`` once per published event.
-        self.service_feed = ServiceFeedBroadcaster(
-            self.manager.events, heartbeat_seconds=heartbeat_seconds
-        )
+        self.service_feed = ServiceFeedBroadcaster(self.manager.events)
         self.manager.events.service_sink = self.service_feed.enqueue
 
     async def dispatch(
@@ -746,7 +627,6 @@ class ServiceApp:
             subscription,
             initial=initial,
             close_kinds=_STREAM_CLOSE_KINDS,
-            heartbeat_seconds=self.heartbeat_seconds,
         )
 
     def _service_stream(self) -> EventStream:
@@ -755,8 +635,8 @@ class ServiceApp:
 
         Served in broadcast mode — every subscriber shares the
         :class:`ServiceFeedBroadcaster` instead of owning a queue and a
-        pump coroutine, so fan-out cost per event is one scheduled
-        flush, not one wake-up per socket.  (Events published between
+        pump coroutine, so fan-out cost per event is one buffered
+        frame, not one wake-up per socket.  (Events published between
         this snapshot and the socket's registration are not replayed;
         the feed is observability, already lossy by design under
         overflow, unlike the gap-free per-session streams.)"""
@@ -768,9 +648,7 @@ class ServiceApp:
             "dashboard": self.manager.dashboard(),
         }
         return EventStream(
-            initial=[("hello", sse_frame(hello))],
-            heartbeat_seconds=self.heartbeat_seconds,
-            broadcast=True,
+            initial=[("hello", sse_frame(hello))], broadcast=True
         )
 
 
@@ -810,13 +688,10 @@ async def _serve_stream(
         while not closing:
             try:
                 kind, frame = await asyncio.wait_for(
-                    subscription.get(),
-                    timeout=stream.heartbeat_seconds,
+                    subscription.get(), timeout=_HEARTBEAT_SECONDS
                 )
             except asyncio.TimeoutError:
-                # SSE comment — ignored by consumers, but it exercises
-                # the socket so a half-open connection fails fast.
-                writer.write(_chunk(b": keep-alive\n\n"))
+                writer.write(_chunk(_KEEP_ALIVE))
                 await writer.drain()
                 continue
             writer.write(_chunk(frame))
@@ -844,34 +719,22 @@ async def _serve_broadcast(
     writer: asyncio.StreamWriter,
     stream: EventStream,
 ) -> None:
-    """Serve a broadcast-mode :class:`EventStream`: once the head and
-    snapshot are flushed the socket is handed to the
-    :class:`ServiceFeedBroadcaster`'s feed thread (which also owns the
-    keep-alive) — this coroutine only watches for client close."""
+    """Serve a broadcast-mode :class:`EventStream`: write the head and
+    snapshot, then hand the writer to the
+    :class:`ServiceFeedBroadcaster` (which also owns the keep-alive) —
+    this coroutine only watches for client close.  The transport keeps
+    write order, so the snapshot always precedes the first feed chunk."""
     broadcaster = app.service_feed
-    registered = False
+    writer.write(_STREAM_HEAD)
+    for _kind, frame in stream.initial:
+        writer.write(_chunk(frame))
+    broadcaster.register(writer)
     try:
-        writer.write(_STREAM_HEAD)
-        for _kind, frame in stream.initial:
-            writer.write(_chunk(frame))
-        await writer.drain()
-        # The feed thread writes the raw socket directly, so hand over
-        # only once the transport's own buffer is empty — drain() only
-        # guarantees "below high water", not "flushed".
-        transport = writer.transport
-        deadline = asyncio.get_running_loop().time() + 5.0
-        while transport.get_write_buffer_size():
-            if asyncio.get_running_loop().time() > deadline:
-                return  # client not reading its own snapshot; give up
-            await asyncio.sleep(0.001)
-        broadcaster.register(writer)
-        registered = True
-        while True:
-            data = await reader.read(1)
-            if not data:
-                return  # client closed its end (or the feed evicted us)
-            # Anything else is a pipelined request on a Connection:
-            # close stream — a client bug; ignore the bytes.
+        # EOF: the client closed its end, or the feed evicted it.  Any
+        # bytes before that are a pipelined request on a Connection:
+        # close stream — a client bug; ignore them.
+        while await reader.read(1):
+            pass
     except (
         ConnectionResetError,
         BrokenPipeError,
@@ -880,8 +743,7 @@ async def _serve_broadcast(
     ):
         pass
     finally:
-        if registered:
-            broadcaster.unregister(writer)
+        broadcaster.unregister(writer)
 
 
 def _response_bytes(status: int, payload: dict[str, Any]) -> bytes:
@@ -1064,10 +926,8 @@ class ServiceServer:
         manager: SessionManager | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        heartbeat_seconds: float = 15.0,
     ):
-        self.app = ServiceApp(manager, heartbeat_seconds=heartbeat_seconds)
+        self.app = ServiceApp(manager)
         self._requested = (host, port)
         self.host: str | None = None
         self.port: int | None = None
@@ -1117,7 +977,6 @@ class ServiceServer:
             # call_soon_threadsafe into a closed loop from its worker
             # thread.  Here the loop is merely stopped, so the late
             # callback is accepted and harmlessly discarded by close().
-            self.app.service_feed.stop()
             self.app.manager.close(wait=True)
             # Connection tasks legitimately swallow the shutdown cancel
             # (to tear their stream down cleanly) and then park once

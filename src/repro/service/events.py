@@ -243,10 +243,10 @@ class EventBus:
         self.dashboard = DashboardAggregator(clock=clock)
         #: Optional fast path for the service feed: a callable handed
         #: every event's frame (on the bus loop).  The HTTP layer
-        #: installs its coalescing broadcaster here, so hundreds of
-        #: ``/events/stream`` sockets cost one enqueue per event
-        #: instead of one queue wake-up per subscriber (see
-        #: ``app.ServiceFeedBroadcaster``).
+        #: installs its on-loop coalescer here, so hundreds of
+        #: ``/events/stream`` sockets cost one buffered frame per event
+        #: and one shared chunk per send cycle instead of one queue
+        #: wake-up per subscriber (see ``app.ServiceFeedBroadcaster``).
         self.service_sink: Callable[[bytes], None] | None = None
         self._sink_subscribers = 0
 

@@ -58,10 +58,11 @@ singleton batches and non-batchable planners).  Speculative branches
 ride the same batches — the router is inherited by forks — so a busy
 server's lookahead work amortises one numpy dispatch across the fleet.
 
-**Durable sessions.**  With a :class:`~repro.service.store.SessionStore`
-attached, every accepted answer is journaled (append-only, keyed by
-session id) and a full snapshot payload is checkpointed every
-``checkpoint_every`` answers.  Journal writes happen **off the event
+**Durable sessions.**  With a
+:class:`~repro.service.store.SqliteSessionStore` attached, every
+accepted answer is journaled (append-only, keyed by session id) and a
+full snapshot payload is checkpointed every ``checkpoint_every``
+answers.  Journal writes happen **off the event
 loop** on a dedicated single-thread writer behind per-session
 single-flight batching: an answer enqueues its journal op and returns;
 at most one flush job per session is in flight, and one flush drains
@@ -119,7 +120,7 @@ from .protocol import (
     progress_payload,
     question_payload,
 )
-from .store import LeaseFenced, SessionStore, StoredSession
+from .store import LeaseFenced, SqliteSessionStore, StoredSession
 
 __all__ = ["ManagedSession", "SessionManager", "Speculation"]
 
@@ -262,7 +263,7 @@ class SessionManager:
         plan_cache: bool = True,
         plan_cache_entries: int = 1024,
         shared_plan=None,
-        store: SessionStore | None = None,
+        store: SqliteSessionStore | None = None,
         checkpoint_every: int = 16,
         owner_id: str | None = None,
         lease_ttl_seconds: float = 10.0,

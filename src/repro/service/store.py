@@ -7,7 +7,7 @@ snapshots serialise, and it is all a store has to keep durable — the
 expensive :class:`~repro.core.signatures.SignatureIndex` stays a cache
 and is rebuilt (or fetched warm) on recovery.
 
-Two tables per backend:
+Two tables:
 
 * a **checkpoint** per session: the full ``session_snapshot`` JSON
   payload (PR 2 wire format, unchanged) covering the first
@@ -16,37 +16,34 @@ Two tables per backend:
   checkpoint, keyed ``(session_id, seq)`` with ``seq`` the 1-based
   answer ordinal.
 
-:meth:`SessionStore.load` merges the two back into one snapshot payload
-(checkpoint ``labeled`` + journal tail, in order), which the manager
-replays through the ordinary propose/answer resume path — so a recovered
-session continues bit-for-bit, strategy and rng included, exactly like a
-snapshot resume.
+:meth:`SqliteSessionStore.load` merges the two back into one snapshot
+payload (checkpoint ``labeled`` + journal tail, in order), which the
+manager replays through the ordinary propose/answer resume path — so a
+recovered session continues bit-for-bit, strategy and rng included,
+exactly like a snapshot resume.
 
-:class:`SqliteSessionStore` is the durable backend (stdlib ``sqlite3``,
-WAL journal mode): every append/checkpoint is one committed transaction,
-so a process killed mid-flight loses at most the answers whose
-transactions had not yet committed — never a prefix, never a corrupt
-payload.  :class:`MemorySessionStore` implements the same contract in a
-dict for tests and for demote-to-memory setups that only need eviction
-to be survivable within one process.
-
-Both backends are thread-safe behind an internal lock: the manager
-journals from a dedicated writer thread while reads (recovery, counts)
-may come from worker threads or the event loop.
+:class:`SqliteSessionStore` keeps them in one SQLite file (stdlib
+``sqlite3``, WAL journal mode): every append/checkpoint is one committed
+transaction, so a process killed mid-flight loses at most the answers
+whose transactions had not yet committed — never a prefix, never a
+corrupt payload.  It is thread-safe behind an internal lock: the
+manager journals from a dedicated writer thread while reads (recovery,
+counts) may come from worker threads or the event loop.
 
 **Leases (the fleet's ownership protocol).**  When several worker
 processes share one store, each durable session is owned by at most one
 of them at a time.  A lease is ``(owner, epoch, expires_at)``:
-:meth:`SessionStore.acquire_lease` grants it when the session is
+:meth:`SqliteSessionStore.acquire_lease` grants it when the session is
 unleased, the lease has expired (wall clock), or the caller already
 holds it; a takeover bumps the **epoch**, which is the fencing token —
 journal writes that carry ``fence=(owner, epoch)`` are rejected with
 :class:`LeaseFenced` unless they match the current lease, so a deposed
 owner's late flush can never corrupt the new owner's journal.  Owners
-keep leases alive with :meth:`~SessionStore.renew_lease` (heartbeat)
-and hand them back with :meth:`~SessionStore.release_lease` on demote
-or graceful drain.  Lease timestamps use the shared wall clock
-(``time.time()``), the only clock every process sees.
+keep leases alive with :meth:`~SqliteSessionStore.renew_lease`
+(heartbeat) and hand them back with
+:meth:`~SqliteSessionStore.release_lease` on demote or graceful drain.
+Lease timestamps use the shared wall clock (``time.time()``), the only
+clock every process sees.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ import json
 import sqlite3
 import threading
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
@@ -65,8 +61,6 @@ __all__ = [
     "JournalEntry",
     "Lease",
     "LeaseFenced",
-    "MemorySessionStore",
-    "SessionStore",
     "SqliteSessionStore",
     "StoreError",
     "StoredSession",
@@ -153,301 +147,7 @@ def _merge_payload(
     return merged
 
 
-class SessionStore(ABC):
-    """Contract every session-store backend implements.
-
-    ``seq`` arguments count answers from the start of the session
-    (1-based); ``put_checkpoint(payload, seq)`` asserts the payload's
-    ``labeled`` list has exactly ``seq`` entries and supersedes all
-    journal rows up to ``seq``.
-    """
-
-    @abstractmethod
-    def put_checkpoint(
-        self,
-        session_id: str,
-        payload: dict[str, Any],
-        seq: int,
-        *,
-        fence: tuple[str, int] | None = None,
-    ) -> None:
-        """Write (or replace) the session's checkpoint; prunes journal
-        rows the checkpoint now covers.  Also the create record: a new
-        session checkpoints at its admission state (``seq`` answers,
-        usually 0).  With ``fence=(owner, epoch)`` the write commits
-        only while that exact lease is current (:class:`LeaseFenced`
-        otherwise)."""
-
-    @abstractmethod
-    def append_answers(
-        self,
-        session_id: str,
-        entries: list[JournalEntry],
-        *,
-        fence: tuple[str, int] | None = None,
-    ) -> None:
-        """Append journal rows (one transaction).  Raises
-        :class:`StoreError` for a session without a checkpoint — the
-        create record must land first.  ``fence`` as on
-        :meth:`put_checkpoint`."""
-
-    @abstractmethod
-    def acquire_lease(
-        self, session_id: str, owner: str, ttl_seconds: float
-    ) -> Lease | None:
-        """Claim ownership of a session for ``ttl_seconds``.
-
-        Granted when the session has no lease, its lease has expired,
-        or ``owner`` already holds it (a refresh — same epoch).  A
-        takeover of an expired foreign lease bumps the epoch.  Returns
-        the granted :class:`Lease`, or ``None`` while another owner's
-        unexpired lease stands."""
-
-    @abstractmethod
-    def renew_lease(
-        self, session_id: str, owner: str, epoch: int, ttl_seconds: float
-    ) -> bool:
-        """Extend a held lease (heartbeat).  ``False`` when the lease
-        is no longer ``(owner, epoch)`` — the caller has been deposed
-        and must stop treating the session as its own."""
-
-    @abstractmethod
-    def release_lease(
-        self, session_id: str, owner: str, epoch: int
-    ) -> bool:
-        """Drop a held lease so any worker may claim the session
-        immediately.  ``False`` (and no effect) unless the lease is
-        still exactly ``(owner, epoch)``."""
-
-    @abstractmethod
-    def lease_of(self, session_id: str) -> Lease | None:
-        """The session's current lease record, expired or not."""
-
-    @abstractmethod
-    def load(self, session_id: str) -> StoredSession | None:
-        """The merged recoverable state, or ``None`` for unknown ids."""
-
-    @abstractmethod
-    def delete(self, session_id: str) -> None:
-        """Forget a session entirely (idempotent)."""
-
-    @abstractmethod
-    def session_ids(self) -> list[str]:
-        """All recoverable session ids, oldest creation first."""
-
-    @abstractmethod
-    def stats(self) -> dict[str, Any]:
-        """Backend counters for ``GET /stats``."""
-
-    def close(self) -> None:  # noqa: B027 - optional hook, default no-op
-        """Release any underlying resources (idempotent)."""
-
-    def __contains__(self, session_id: str) -> bool:
-        return self.load(session_id) is not None
-
-
-class MemorySessionStore(SessionStore):
-    """Dict-backed store: survives eviction, not the process."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: session_id -> (checkpoint payload, checkpoint_seq,
-        #:                {seq: (class_id, label)}, created, updated)
-        self._sessions: dict[str, list[Any]] = {}
-        self._leases: dict[str, Lease] = {}
-        self._journal_appends = 0
-        self._checkpoints = 0
-        self._loads = 0
-        self._fenced_writes = 0
-        self._lease_takeovers = 0
-        self._lease_denied = 0
-
-    def _check_fence(
-        self, session_id: str, fence: tuple[str, int] | None
-    ) -> None:
-        # Caller holds self._lock.  A matching (owner, epoch) means no
-        # takeover has happened, so the write is safe even if the lease
-        # has meanwhile expired on the wall clock.
-        if fence is None:
-            return
-        owner, epoch = fence
-        lease = self._leases.get(session_id)
-        if lease is None or lease.owner != owner or lease.epoch != epoch:
-            self._fenced_writes += 1
-            held = (
-                None if lease is None else (lease.owner, lease.epoch)
-            )
-            raise LeaseFenced(
-                f"session {session_id!r}: write stamped "
-                f"({owner!r}, {epoch}) but lease is {held!r}"
-            )
-
-    def put_checkpoint(
-        self,
-        session_id: str,
-        payload: dict[str, Any],
-        seq: int,
-        *,
-        fence: tuple[str, int] | None = None,
-    ) -> None:
-        with self._lock:
-            self._check_fence(session_id, fence)
-            now = time.time()
-            entry = self._sessions.get(session_id)
-            if entry is None:
-                self._sessions[session_id] = [
-                    payload, seq, {}, now, now
-                ]
-            else:
-                entry[0], entry[1] = payload, seq
-                entry[2] = {
-                    s: v for s, v in entry[2].items() if s > seq
-                }
-                entry[4] = now
-            self._checkpoints += 1
-
-    def append_answers(
-        self,
-        session_id: str,
-        entries: list[JournalEntry],
-        *,
-        fence: tuple[str, int] | None = None,
-    ) -> None:
-        with self._lock:
-            self._check_fence(session_id, fence)
-            entry = self._sessions.get(session_id)
-            if entry is None:
-                raise StoreError(
-                    f"no checkpoint for session {session_id!r}; "
-                    f"cannot journal answers"
-                )
-            for seq, class_id, label in entries:
-                entry[2][seq] = (class_id, label)
-            entry[4] = time.time()
-            self._journal_appends += len(entries)
-
-    def acquire_lease(
-        self, session_id: str, owner: str, ttl_seconds: float
-    ) -> Lease | None:
-        now = time.time()
-        with self._lock:
-            current = self._leases.get(session_id)
-            held = (
-                None
-                if current is None
-                else (current.owner, current.epoch, current.expires_at)
-            )
-            decision, epoch = sqlite_util.decide_lease_epoch(
-                held, owner, now
-            )
-            if decision == "deny":
-                self._lease_denied += 1
-                return None
-            if decision == "takeover":
-                self._lease_takeovers += 1
-            lease = Lease(session_id, owner, epoch, now + ttl_seconds)
-            self._leases[session_id] = lease
-            return lease
-
-    def renew_lease(
-        self, session_id: str, owner: str, epoch: int, ttl_seconds: float
-    ) -> bool:
-        now = time.time()
-        with self._lock:
-            current = self._leases.get(session_id)
-            if (
-                current is None
-                or current.owner != owner
-                or current.epoch != epoch
-            ):
-                return False
-            self._leases[session_id] = Lease(
-                session_id, owner, epoch, now + ttl_seconds
-            )
-            return True
-
-    def release_lease(
-        self, session_id: str, owner: str, epoch: int
-    ) -> bool:
-        with self._lock:
-            current = self._leases.get(session_id)
-            if (
-                current is None
-                or current.owner != owner
-                or current.epoch != epoch
-            ):
-                return False
-            # Keep the row (expired) so the epoch stays monotonic: the
-            # next acquire is a takeover and bumps it past any write a
-            # deposed owner might still be carrying.
-            self._leases[session_id] = Lease(
-                session_id, owner, epoch, 0.0
-            )
-            return True
-
-    def lease_of(self, session_id: str) -> Lease | None:
-        with self._lock:
-            return self._leases.get(session_id)
-
-    def load(self, session_id: str) -> StoredSession | None:
-        with self._lock:
-            entry = self._sessions.get(session_id)
-            if entry is None:
-                return None
-            checkpoint, seq, journal, created, updated = entry
-            tail = [
-                (s, class_id, label)
-                for s, (class_id, label) in sorted(journal.items())
-                if s > seq
-            ]
-            self._loads += 1
-        payload = _merge_payload(
-            session_id, checkpoint, seq, tail
-        )
-        return StoredSession(
-            session_id=session_id,
-            payload=payload,
-            checkpoint_seq=seq,
-            journal_seq=seq + len(tail),
-            created_at=created,
-            updated_at=updated,
-        )
-
-    def delete(self, session_id: str) -> None:
-        with self._lock:
-            self._sessions.pop(session_id, None)
-            self._leases.pop(session_id, None)
-
-    def session_ids(self) -> list[str]:
-        with self._lock:
-            return [
-                sid
-                for sid, _ in sorted(
-                    self._sessions.items(), key=lambda kv: kv[1][3]
-                )
-            ]
-
-    def stats(self) -> dict[str, Any]:
-        now = time.time()
-        with self._lock:
-            return {
-                "backend": "memory",
-                "sessions": len(self._sessions),
-                "journal_appends": self._journal_appends,
-                "checkpoints": self._checkpoints,
-                "loads": self._loads,
-                "leases": sum(
-                    1
-                    for lease in self._leases.values()
-                    if not lease.expired(now)
-                ),
-                "fenced_writes": self._fenced_writes,
-                "lease_takeovers": self._lease_takeovers,
-                "lease_denied": self._lease_denied,
-            }
-
-
-class SqliteSessionStore(SessionStore):
+class SqliteSessionStore:
     """The durable backend: one SQLite file in WAL mode.
 
     WAL keeps readers and the single writer from blocking each other
@@ -456,6 +156,11 @@ class SqliteSessionStore(SessionStore):
     the write-ahead log up to the last commit.  ``synchronous=NORMAL``
     is the documented safe level for WAL (a crash may lose the tail of
     *uncommitted* work only).
+
+    ``seq`` arguments count answers from the start of the session
+    (1-based); ``put_checkpoint(payload, seq)`` asserts the payload's
+    ``labeled`` list has exactly ``seq`` entries and supersedes all
+    journal rows up to ``seq``.
     """
 
     #: Attempts per transaction when another process holds the write
@@ -568,6 +273,12 @@ class SqliteSessionStore(SessionStore):
         *,
         fence: tuple[str, int] | None = None,
     ) -> None:
+        """Write (or replace) the session's checkpoint; prunes journal
+        rows the checkpoint now covers.  Also the create record: a new
+        session checkpoints at its admission state (``seq`` answers,
+        usually 0).  With ``fence=(owner, epoch)`` the write commits
+        only while that exact lease is current (:class:`LeaseFenced`
+        otherwise)."""
         text = json.dumps(payload, separators=(",", ":"))
         now = time.time()
 
@@ -603,6 +314,10 @@ class SqliteSessionStore(SessionStore):
         *,
         fence: tuple[str, int] | None = None,
     ) -> None:
+        """Append journal rows (one transaction).  Raises
+        :class:`StoreError` for a session without a checkpoint — the
+        create record must land first.  ``fence`` as on
+        :meth:`put_checkpoint`."""
         if not entries:
             return
         now = time.time()
@@ -640,6 +355,11 @@ class SqliteSessionStore(SessionStore):
     def acquire_lease(
         self, session_id: str, owner: str, ttl_seconds: float
     ) -> Lease | None:
+        """Claim ownership of a session for ``ttl_seconds``: granted
+        when it has no lease, its lease has expired, or ``owner``
+        already holds it (a refresh, same epoch).  A takeover bumps
+        the epoch.  ``None`` while another owner's unexpired lease
+        stands."""
         now = time.time()
 
         def work(connection: sqlite3.Connection) -> Lease | None:
@@ -676,6 +396,8 @@ class SqliteSessionStore(SessionStore):
     def renew_lease(
         self, session_id: str, owner: str, epoch: int, ttl_seconds: float
     ) -> bool:
+        """Extend a held lease (heartbeat).  ``False`` when the lease
+        is no longer ``(owner, epoch)``: the caller has been deposed."""
         now = time.time()
 
         def work(connection: sqlite3.Connection) -> bool:
@@ -691,6 +413,10 @@ class SqliteSessionStore(SessionStore):
     def release_lease(
         self, session_id: str, owner: str, epoch: int
     ) -> bool:
+        """Drop a held lease so any worker may claim the session at
+        once; ``False`` (and no effect) unless it is still exactly
+        ``(owner, epoch)``."""
+
         def work(connection: sqlite3.Connection) -> bool:
             # Expire in place rather than deleting the row: the epoch
             # stays monotonic, so the next acquire is a takeover and
@@ -717,6 +443,7 @@ class SqliteSessionStore(SessionStore):
         return Lease(session_id, row[0], row[1], row[2])
 
     def load(self, session_id: str) -> StoredSession | None:
+        """The merged recoverable state, or ``None`` for unknown ids."""
         with self._lock:
             connection = self._require_connection()
             row = connection.execute(
@@ -773,6 +500,7 @@ class SqliteSessionStore(SessionStore):
         self._transact(work)
 
     def session_ids(self) -> list[str]:
+        """All recoverable session ids, oldest creation first."""
         with self._lock:
             connection = self._require_connection()
             return [
@@ -784,7 +512,7 @@ class SqliteSessionStore(SessionStore):
             ]
 
     def __contains__(self, session_id: str) -> bool:
-        # Cheaper than the default load()-based probe: no payload parse.
+        # Cheaper than a load() probe: no payload parse.
         with self._lock:
             connection = self._require_connection()
             return (

@@ -211,7 +211,6 @@ _BACKGROUND_THREAD_PREFIXES = (
     "session-store",
     "create-offload",
     "lease-heartbeat",
-    "service-feed",
 )
 
 
@@ -219,9 +218,9 @@ _BACKGROUND_THREAD_PREFIXES = (
 def no_leaked_servers_or_threads():
     """Fail the suite if a test leaked a live server or a background
     worker thread.  Teardown is asynchronous (server loops join their
-    threads, the feed thread drains), so the check retries for a few
-    seconds before declaring a leak rather than flaking on the last
-    test's shutdown still being in flight."""
+    threads), so the check retries for a few seconds before declaring
+    a leak rather than flaking on the last test's shutdown still being
+    in flight."""
     import threading
 
     from repro.service import ServiceServer

@@ -1,7 +1,8 @@
 """The store's per-session lease protocol (PR 7).
 
 The fleet's correctness rests on three store-level properties, tested
-here on both backends without any subprocess machinery:
+here on the SQLite store (file and in-memory databases) without any
+subprocess machinery:
 
 * **Mutual exclusion with takeover** — one unexpired lease per session;
   an expired lease is claimable by anyone, and a takeover bumps the
@@ -10,7 +11,7 @@ here on both backends without any subprocess machinery:
   epoch)`` raise :class:`LeaseFenced` and commit nothing, so a
   SIGKILLed worker's late flush can never corrupt its successor's
   journal.
-* **Busy tolerance** — the SQLite backend retries transiently locked
+* **Busy tolerance** — the store retries transiently locked
   transactions (N processes share one WAL file) instead of surfacing
   ``SQLITE_BUSY`` to the serving layer.
 
@@ -31,7 +32,6 @@ import pytest
 from repro.service import (
     Conflict,
     LeaseFenced,
-    MemorySessionStore,
     SqliteSessionStore,
     StoreError,
 )
@@ -51,7 +51,7 @@ from .test_store import (
 TTL = 30.0  # long: these tests drive expiry explicitly, not by waiting
 
 
-# --- lease contract (both backends) ------------------------------------------
+# --- lease contract (both store configurations) ------------------------------
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -246,7 +246,7 @@ def leased_manager(store, owner, **kwargs):
 
 class TestManagerLeasing:
     def test_create_acquires_and_demote_releases(self, tmp_path):
-        store = MemorySessionStore()
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = leased_manager(store, "w0g1")
         managed = manager.create(
             inline_spec(boundary_instance(2, 2, rows=4, seed=1))
@@ -265,9 +265,10 @@ class TestManagerLeasing:
         released = store.lease_of(managed.session_id)
         assert released.expired()
         manager.close(wait=True)
+        store.close()
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
-        store = MemorySessionStore()
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = leased_manager(store, "w0g1", lease_ttl_seconds=0.3)
         managed = manager.create(
             inline_spec(boundary_instance(2, 2, rows=4, seed=2))
@@ -278,11 +279,12 @@ class TestManagerLeasing:
         lease = store.lease_of(managed.session_id)
         assert lease is not None and not lease.expired()
         manager.close(wait=True)
+        store.close()
 
     def test_fenced_flush_sheds_session_without_touching_store(
         self, tmp_path
     ):
-        store = MemorySessionStore()
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = leased_manager(store, "w0g1")
         managed = manager.create(
             inline_spec(boundary_instance(2, 2, rows=5, seed=3))
@@ -311,6 +313,7 @@ class TestManagerLeasing:
         with pytest.raises(Conflict):
             manager.get(sid)
         manager.close(wait=True)
+        store.close()
 
     def test_takeover_resumes_identical_sequence(self, tmp_path):
         """In-process twin of the fleet acceptance test: worker A

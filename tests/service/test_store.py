@@ -36,7 +36,6 @@ from repro.core.serialize import instance_to_dict
 from repro.service import (
     BadRequest,
     IndexCache,
-    MemorySessionStore,
     NotFound,
     ServiceClient,
     ServiceServer,
@@ -130,11 +129,13 @@ def reference_sequence(instance, strategy, seed, oracle):
     return asked, session.current_predicate()
 
 
-# --- store backends ----------------------------------------------------------
+# --- store configurations ----------------------------------------------------
 
 
+#: The store contract on a WAL database file and on SQLite's in-memory
+#: database (no file, no WAL: ``journal_mode`` stays ``memory``).
 BACKENDS = {
-    "memory": lambda tmp_path: MemorySessionStore(),
+    "memory": lambda tmp_path: SqliteSessionStore(":memory:"),
     "sqlite": lambda tmp_path: SqliteSessionStore(
         str(tmp_path / "sessions.db")
     ),
@@ -472,22 +473,28 @@ class TestDemoteRehydrate:
         removes its (now trailing) row — otherwise a later eviction or
         delete would resurrect a silently rolled-back copy."""
 
-        class FailingStore(MemorySessionStore):
-            def __init__(self):
-                super().__init__()
+        class FailingStore(SqliteSessionStore):
+            def __init__(self, path):
+                super().__init__(path)
                 self.fail = False
 
-            def append_answers(self, session_id, entries):
+            def append_answers(self, session_id, entries, *, fence=None):
                 if self.fail:
                     raise StoreError("disk full")
-                super().append_answers(session_id, entries)
+                super().append_answers(session_id, entries, fence=fence)
 
-        store = FailingStore()
+        store = FailingStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
         instance = boundary_instance(2, 2, rows=5, seed=15)
         managed = manager.create(inline_spec(instance, "BU", seed=4))
         manager.flush_store()
         assert managed.session_id in store
+        # While the store works, a journaled answer keeps it durable.
+        drive(manager, managed, BiasedCoin(2), limit=1)
+        manager.flush_store()
+        assert managed.durable
+        assert manager.stats()["store"]["flush_errors"] == 0
+        assert store.load(managed.session_id).journal_seq == 1
 
         store.fail = True
         drive(manager, managed, BiasedCoin(2), limit=1)
@@ -501,7 +508,7 @@ class TestDemoteRehydrate:
         with pytest.raises(NotFound):
             manager.get(managed.session_id)
         manager.close(wait=True)
-
+        store.close()
 
     def test_delete_during_rehydration_is_not_resurrected(self, tmp_path):
         """DELETE racing an in-flight rehydration must win: the replay

@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+import repro.service.app as service_app
 from repro.core import PerfectOracle, SignatureIndex
 from repro.data import generate_tpch, tpch_workloads
 from repro.service import (
@@ -440,8 +441,9 @@ class TestServiceFeed:
 
     def test_slow_subscriber_is_evicted_not_wedged(self, join4):
         """A service-feed socket that never reads must be aborted once
-        its pending buffer passes the cap — and the bus's subscriber
-        count must drop back, proving ``sink_detached`` ran."""
+        its transport's unsent backlog passes the cap — and the bus's
+        subscriber count must drop back, proving ``sink_detached``
+        ran."""
         with make_server() as server:
             feed = server.app.service_feed
             feed.max_buffer_bytes = 8 * 1024
@@ -500,6 +502,51 @@ class TestServiceFeed:
                 assert bus.subscriber_counts()["service"] == 0
                 served = bus.subscriber_counts()["served"]
                 assert served >= 1
+
+
+class TestKeepAlive:
+    def test_idle_streams_write_keep_alive(self, monkeypatch):
+        """Both stream kinds send an SSE ``: keep-alive`` comment after
+        ``_HEARTBEAT_SECONDS`` of silence: the service feed from its
+        loop timer, a session stream from its subscription wait."""
+        monkeypatch.setattr(service_app, "_HEARTBEAT_SECONDS", 0.2)
+        with make_server() as server:
+            with ServiceClient(server.host, server.port) as client:
+                info = client.create_session(
+                    workload=WORKLOAD_NAME,
+                    strategy="TD",
+                    seed=1,
+                    workload_seed=TPCH_SEED,
+                    scale=TPCH_SCALE,
+                )
+            for path in (
+                "/events/stream",
+                f"/sessions/{info['session_id']}/stream",
+            ):
+                sock = socket.create_connection(
+                    (server.host, server.port)
+                )
+                try:
+                    sock.sendall(
+                        f"GET {path} HTTP/1.1\r\n"
+                        f"Host: test\r\nContent-Length: 0\r\n\r\n".encode()
+                    )
+                    received = b""
+                    deadline = time.monotonic() + 5
+                    while b"\r\n: keep-alive\n\n\r\n" not in received:
+                        remaining = deadline - time.monotonic()
+                        assert remaining > 0, (
+                            f"no keep-alive on idle {path}: {received!r}"
+                        )
+                        sock.settimeout(remaining)
+                        try:
+                            data = sock.recv(65536)
+                        except socket.timeout:
+                            continue
+                        assert data, f"{path} ended instead of idling"
+                        received += data
+                finally:
+                    sock.close()
 
 
 class TestClientStreamGuards:
