@@ -38,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import random
 import sys
@@ -53,6 +54,7 @@ from repro.core import (
     PerfectOracle,
     SignatureIndex,
 )
+from repro.core.fast_lookahead import entropies_for_informative
 from repro.core.kernel_batch import batched_entropies
 from repro.core.oracle import Oracle
 from repro.data.synthetic import (
@@ -114,10 +116,20 @@ def _session_jobs(instance, seeds):
     return jobs
 
 
+class ScratchLookahead(LookaheadSkylineStrategy):
+    """The from-scratch per-step path: every proposal recomputes its
+    entropies through the vectorised kernels, with no cross-step
+    planner."""
+
+    def _entropies(self, state):
+        return entropies_for_informative(state, self.depth)
+
+
 def _run_session(instance, index, depth, incremental, make_oracle, seed):
     """One full session; returns (wall_seconds, asked class ids, mask)."""
     oracle = make_oracle()
-    strategy = LookaheadSkylineStrategy(depth=depth, incremental=incremental)
+    lookahead = LookaheadSkylineStrategy if incremental else ScratchLookahead
+    strategy = lookahead(depth=depth)
     session = InferenceSession(
         instance, strategy, oracle, index=index, seed=seed
     )
@@ -333,13 +345,15 @@ def bench_plan_cache(max_questions) -> dict:
     manager = SessionManager(speculate=False, kernel_batch=False)
 
     def timed_session():
-        managed = manager.create(
-            CreateSpec(
-                {"inline": instance_to_dict(instance)},
-                instance,
-                "L2S",
-                0,
-                None,
+        managed = asyncio.run(
+            manager.create_async(
+                CreateSpec(
+                    {"inline": instance_to_dict(instance)},
+                    instance,
+                    "L2S",
+                    0,
+                    None,
+                )
             )
         )
         latencies, asked = [], []

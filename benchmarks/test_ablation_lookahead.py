@@ -19,10 +19,21 @@ from repro.core import (
     run_inference,
     sample_goal_of_size,
 )
+from repro.core.entropy import entropy_k_of_class
 from repro.data import SyntheticConfig, generate_synthetic
 
 #: Small configuration so the exponential k = 3 stays feasible.
 CONFIG = SyntheticConfig(2, 3, 20, 20)
+
+
+class ReferenceLookahead(LookaheadSkylineStrategy):
+    """Lookahead through the recursive pure-Python reference."""
+
+    def _entropies(self, state):
+        return {
+            class_id: entropy_k_of_class(state, class_id, self.depth)
+            for class_id in state.informative_class_ids()
+        }
 
 
 def _draw(goal_size: int):
@@ -60,10 +71,11 @@ def test_lookahead_depth(benchmark, depth):
 def test_l2s_vectorised_vs_reference(benchmark, vectorised):
     """The NumPy path vs the straightforward implementation — same
     questions, very different cost (this gap explains why our absolute
-    L2S times undercut the paper's 56–74 s; with ``vectorised=False``
-    the reference lands in the paper's regime on comparable instances)."""
+    L2S times undercut the paper's 56–74 s; the reference lands in the
+    paper's regime on comparable instances)."""
     instance, index, goal = _draw(goal_size=2)
-    strategy = LookaheadSkylineStrategy(depth=2, vectorised=vectorised)
+    lookahead = LookaheadSkylineStrategy if vectorised else ReferenceLookahead
+    strategy = lookahead(depth=2)
     benchmark.group = "ablation-lookahead-vectorisation"
 
     def run():

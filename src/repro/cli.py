@@ -49,6 +49,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    # 0 asks the OS for a free port.
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("must be between 0 and 65535")
+    return value
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -157,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the multi-session inference HTTP service"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8642)
+    serve.add_argument("--port", type=_port, default=8642)
     serve.add_argument(
         "--max-sessions",
         type=_positive_int,
@@ -273,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: 1024)"
         ),
     )
+    # Lets the command report a fleet without a store like a bad argument.
+    serve.set_defaults(error=serve.error)
     return parser
 
 
@@ -476,8 +489,8 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     from .service import Fleet, FleetConfig, FleetRouter
 
     if args.store is None:
-        raise SystemExit(
-            "serve --workers requires --store: the fleet's workers "
+        args.error(
+            "--workers requires --store: the fleet's workers "
             "share sessions through the durable store's lease protocol"
         )
     config = FleetConfig(

@@ -14,15 +14,12 @@ them from scratch on every ``propose``.  The planner covers *every*
 depth — depth ≤ 2 fully incrementally, deeper lookaheads reusing the
 maintained first-level matrices for their outermost branch — so no
 depth silently bypasses cross-step state.  Proposals are bit-for-bit
-identical to the from-scratch path (property-tested); three knobs force
-the slower paths when reproducing absolute timings:
-
-* ``incremental=False`` — from-scratch vectorised computation per step
-  (:mod:`repro.core.fast_lookahead`), no cross-step reuse;
-* ``vectorised=False`` — the recursive pure-Python reference
-  (:mod:`repro.core.entropy`);
-* the planner itself degrades to the from-scratch path on degenerate
-  instances (see :mod:`repro.core.planner`).
+identical to the from-scratch kernels of :mod:`repro.core.fast_lookahead`
+and to the recursive pure-Python reference in :mod:`repro.core.entropy`
+(property-tested against both); the planner itself degrades to the
+from-scratch path on degenerate instances (see
+:mod:`repro.core.planner`), and rebuilds whenever it is asked about a
+state it did not witness.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ import math
 import random
 from typing import Callable
 
-from ..entropy import Entropy, best_skyline_entropy, entropy_k_of_class
-from ..fast_lookahead import entropies_for_informative
+from ..entropy import Entropy, best_skyline_entropy
 from ..planner import IncrementalLookaheadPlanner
 from ..state import InferenceState, StateDelta
 from .base import Strategy
@@ -41,25 +37,12 @@ __all__ = ["LookaheadSkylineStrategy", "one_step_lookahead", "two_step_lookahead
 
 
 class LookaheadSkylineStrategy(Strategy):
-    """k-step lookahead skyline strategy (LkS).
+    """k-step lookahead skyline strategy (LkS)."""
 
-    ``incremental=False`` disables the cross-step planner (every step
-    recomputes from scratch); ``vectorised=False`` additionally forces
-    the straightforward reference implementation.  Results are identical
-    under every combination.
-    """
-
-    def __init__(
-        self,
-        depth: int = 1,
-        vectorised: bool = True,
-        incremental: bool = True,
-    ):
+    def __init__(self, depth: int = 1):
         if depth < 1:
             raise ValueError("lookahead depth must be >= 1")
         self.depth = depth
-        self.vectorised = vectorised
-        self.incremental = incremental
         self.name = f"L{depth}S"
         self._planner: IncrementalLookaheadPlanner | None = None
         #: Optional cross-session batching hook: given the in-sync
@@ -97,11 +80,7 @@ class LookaheadSkylineStrategy(Strategy):
     def fork(
         self, state: InferenceState, twin_state: InferenceState
     ) -> "LookaheadSkylineStrategy":
-        twin = LookaheadSkylineStrategy(
-            depth=self.depth,
-            vectorised=self.vectorised,
-            incremental=self.incremental,
-        )
+        twin = type(self)(depth=self.depth)
         planner = self._planner
         if planner is not None and planner.in_sync(state):
             twin._planner = planner.copy(twin_state)
@@ -157,13 +136,6 @@ class LookaheadSkylineStrategy(Strategy):
                 and primed_count == state.interaction_count
             ):
                 return table
-        if not self.vectorised:
-            return {
-                class_id: entropy_k_of_class(state, class_id, self.depth)
-                for class_id in state.informative_class_ids()
-            }
-        if not self.incremental:
-            return entropies_for_informative(state, self.depth)
         planner = self.planner_for(state)
         router = self.entropy_router
         if router is not None:

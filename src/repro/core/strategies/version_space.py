@@ -52,10 +52,9 @@ class VersionSpaceStrategy(StatelessStrategy):
         self.max_candidates = max_candidates
         self._candidates: list[int] | None = None
         self._candidates_index = None
-        # incremental=False: the fallback is consulted statelessly (no
-        # observe lifecycle), so a cross-step planner could never stay
-        # in sync — from-scratch per call is the right mode here.
-        self._fallback = LookaheadSkylineStrategy(depth=1, incremental=False)
+        # Consulted statelessly (no observe lifecycle): its planner
+        # rebuilds whenever the state moved since the last call.
+        self._fallback = LookaheadSkylineStrategy(depth=1)
 
     def _candidate_masks(self, state: InferenceState) -> list[int] | None:
         """All candidate goal masks (cached per index); None when capped."""

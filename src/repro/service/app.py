@@ -356,7 +356,7 @@ class ServiceApp:
             if method == "POST":
                 return await self._create(payload, headers)
             if method == "GET":
-                # Counts first: session_counts sweeps, so listing
+                # Counts first: session_counts_async sweeps, so listing
                 # afterwards cannot include a session the counts just
                 # demoted (the two views stay consistent).
                 counts = await self.manager.session_counts_async()
@@ -410,7 +410,7 @@ class ServiceApp:
                 return 200, predicate_payload(managed.session)
         if action == "snapshot" and method == "GET":
             async with managed.lock:
-                return 200, self.manager.snapshot(session_id)
+                return 200, self.manager.snapshot(managed)
         raise NotFound(f"no route {path!r}")
 
     @staticmethod

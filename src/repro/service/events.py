@@ -7,24 +7,25 @@ an answer recorded, a session created/demoted/deleted — is *published*
 once, as a JSON-serialisable event dict, and fans out to
 
 * the session's own topic (``GET /sessions/{id}/stream`` subscribers),
-* the service-wide feed (``GET /events/stream`` subscribers), and
+* the service-wide feed (``GET /events/stream`` subscribers, served
+  through :attr:`EventBus.service_sink`), and
 * the :class:`DashboardAggregator`, which folds the event into O(1)
   running aggregates so ``GET /dashboard`` never rescans sessions or
   stores.
 
-Subscribers are bounded ``asyncio.Queue``s with a **drop-oldest**
-overflow policy: a slow or stalled consumer loses its oldest queued
-events (visible as a gap in the per-topic ``seq``) instead of wedging
-the event loop or growing memory without bound — the publish path never
-blocks and never fails.  Each event's SSE frame is encoded exactly once
-at publish time and the same ``bytes`` object is handed to every
-subscriber, so fanning out to hundreds of subscribers costs queue puts
-and socket writes, not repeated JSON encoding.
+Session subscribers are bounded ``asyncio.Queue``s (``_QUEUE_LIMIT``
+events) with a **drop-oldest** overflow policy: a slow or stalled
+consumer loses its oldest queued events (visible as a gap in the
+per-topic ``seq``) instead of wedging the event loop or growing memory
+without bound — the publish path never blocks and never fails.  Each
+event's SSE frame is encoded exactly once at publish time and the same
+``bytes`` object is handed to every subscriber and to the service
+sink, so fan-out costs queue puts and socket writes, not repeated JSON
+encoding.
 
 Publishing is thread-safe: on the bus's bound event loop events are
-delivered inline; from worker threads (synchronous embedder calls,
-store callbacks) delivery hops onto the loop via
-``call_soon_threadsafe``.  With no loop bound there can be no
+delivered inline; from any other thread delivery hops onto the loop
+via ``call_soon_threadsafe``.  With no loop bound there can be no
 subscribers, so publish just updates the dashboard aggregates.
 
 Sequencing: ``seq`` is a per-topic counter assigned at publish (gap
@@ -58,9 +59,9 @@ __all__ = [
 #: so the underscore can never collide with one).
 SERVICE_FEED = "_service"
 
-#: Default per-subscriber queue bound.  At ~3 events per answer round a
+#: Per-subscriber queue bound.  At ~3 events per answer round a
 #: consumer may fall hundreds of rounds behind before losing anything.
-_DEFAULT_QUEUE_LIMIT = 1024
+_QUEUE_LIMIT = 1024
 
 
 def _json_safe(value: Any) -> Any:
@@ -84,11 +85,11 @@ def sse_frame(event: dict[str, Any]) -> bytes:
 class EventSubscription:
     """One subscriber's bounded queue on one topic."""
 
-    def __init__(self, bus: "EventBus", topic: str, limit: int):
+    def __init__(self, bus: "EventBus", topic: str):
         self.bus = bus
         self.topic = topic
         self.queue: asyncio.Queue[tuple[str, bytes]] = asyncio.Queue(
-            maxsize=limit
+            maxsize=_QUEUE_LIMIT
         )
         #: Events this subscriber lost to the drop-oldest policy.
         self.dropped = 0
@@ -222,15 +223,7 @@ class DashboardAggregator:
 class EventBus:
     """Per-topic fan-out with bounded subscribers and a service feed."""
 
-    def __init__(
-        self,
-        *,
-        queue_limit: int = _DEFAULT_QUEUE_LIMIT,
-        clock: Callable[[], float] = time.time,
-    ):
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be positive")
-        self.queue_limit = queue_limit
+    def __init__(self, *, clock: Callable[[], float] = time.time):
         self._clock = clock
         self._lock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -241,27 +234,25 @@ class EventBus:
         self._peak_subscribers = 0
         self._subscribers_served = 0
         self.dashboard = DashboardAggregator(clock=clock)
-        #: Optional fast path for the service feed: a callable handed
-        #: every event's frame (on the bus loop).  The HTTP layer
-        #: installs its on-loop coalescer here, so hundreds of
-        #: ``/events/stream`` sockets cost one buffered frame per event
-        #: and one shared chunk per send cycle instead of one queue
-        #: wake-up per subscriber (see ``app.ServiceFeedBroadcaster``).
+        #: The service feed: a callable handed every event's frame (on
+        #: the bus loop) while any feed subscriber is attached.  The
+        #: HTTP layer installs its on-loop coalescer here, so hundreds
+        #: of ``/events/stream`` sockets cost one buffered frame per
+        #: event and one shared chunk per send cycle instead of one
+        #: queue wake-up per subscriber (see
+        #: ``app.ServiceFeedBroadcaster``).
         self.service_sink: Callable[[bytes], None] | None = None
         self._sink_subscribers = 0
 
     # --- subscriptions -------------------------------------------------------
 
-    def subscribe(
-        self, topic: str, *, queue_limit: int | None = None
-    ) -> EventSubscription:
-        """Attach a subscriber to ``topic`` (event-loop thread only —
-        the queue belongs to the running loop, which also becomes the
-        bus's delivery loop)."""
+    def subscribe(self, topic: str) -> EventSubscription:
+        """Attach a subscriber to a session's ``topic`` (event-loop
+        thread only — the queue belongs to the running loop, which also
+        becomes the bus's delivery loop).  The service feed has no
+        queue subscribers: it is served through :attr:`service_sink`."""
         loop = asyncio.get_running_loop()
-        sub = EventSubscription(
-            self, topic, queue_limit or self.queue_limit
-        )
+        sub = EventSubscription(self, topic)
         with self._lock:
             self._loop = loop
             self._subs.setdefault(topic, []).append(sub)
@@ -283,8 +274,8 @@ class EventBus:
                     del self._subs[sub.topic]
 
     def has_subscribers(self, topic: str) -> bool:
-        """True when ``topic`` itself has live subscribers (the service
-        feed does not count: it observes, it does not drive)."""
+        """True when ``topic`` itself has live subscribers (service
+        feed sockets do not count: they observe, they do not drive)."""
         with self._lock:
             return bool(self._subs.get(topic))
 
@@ -307,14 +298,9 @@ class EventBus:
 
     def subscriber_counts(self) -> dict[str, int]:
         with self._lock:
-            service = (
-                len(self._subs.get(SERVICE_FEED, ()))
-                + self._sink_subscribers
-            )
-            total = sum(len(subs) for subs in self._subs.values())
             return {
-                "sessions": total - len(self._subs.get(SERVICE_FEED, ())),
-                "service": service,
+                "sessions": sum(len(subs) for subs in self._subs.values()),
+                "service": self._sink_subscribers,
                 "peak": self._peak_subscribers,
                 "served": self._subscribers_served,
             }
@@ -367,8 +353,6 @@ class EventBus:
     def _deliver(self, topic: str, kind: str, frame: bytes) -> None:
         with self._lock:
             targets = list(self._subs.get(topic, ()))
-            if topic != SERVICE_FEED:
-                targets.extend(self._subs.get(SERVICE_FEED, ()))
             sink = (
                 self.service_sink if self._sink_subscribers else None
             )

@@ -10,25 +10,19 @@ apart under the inference semantics).
 
 Construction goes through an
 :class:`~repro.core.index_build.IndexBuilder` (replaceable, so tests can
-substitute a slow one).  Two build paths exist:
+substitute a slow one).  There is one lookup,
+:meth:`IndexCache.get_or_build_keyed_async`: a cold build runs on a
+``concurrent.futures`` executor so the event loop keeps serving every
+other session, and concurrent requests for the same key are
+**single-flight** — the first awaits the executor, later arrivals await
+the same in-flight future, and exactly one build ever runs.  Each
+in-flight build has a :class:`BuildStatus` (key, waiters, elapsed
+time), surfaced on ``GET /builds``.  The caller computes the key: the
+manager hashes uploads on its own pool (see ``SessionManager.offload``)
+and keys builtin workloads by their canonical spec.
 
-* :meth:`IndexCache.get_or_build` / ``get_or_build_keyed`` — synchronous,
-  used by non-async callers; the caller's thread builds inline.
-* :meth:`IndexCache.get_or_build_keyed_async` — the server path: the
-  build runs on a ``concurrent.futures`` executor so the event loop keeps
-  serving every other session, and concurrent *async* requests for the
-  same key are **single-flight** — the first awaits the executor, later
-  arrivals await the same in-flight future, and exactly one build ever
-  runs.  Each in-flight build has a :class:`BuildStatus` (key, waiters,
-  elapsed time), surfaced on ``GET /builds``.  The server computes the
-  key itself, hashing on its own pool (see ``SessionManager.offload``).
-
-One cache instance belongs to one concurrency domain: either the event
-loop (async methods; worker threads only ever run the builder, never
-touch the cache dict) or a single synchronous caller.  Mixing the sync
-methods into a live server from another thread would race the LRU dict
-and duplicate builds — embedders drive :class:`SessionManager`'s sync
-API *instead of* a running server, not alongside one.
+The cache dict belongs to the event loop: worker threads only ever run
+the builder, never touch the LRU.
 
 Eviction is LRU by entry count.
 """
@@ -180,50 +174,22 @@ class IndexCache:
         """
         return self._shared
 
-    # --- synchronous path -------------------------------------------------
-
-    def get_or_build(
-        self, instance: Instance
-    ) -> tuple[SignatureIndex, bool]:
-        """The shared index for ``instance`` and whether it was cached."""
-        return self.get_or_build_keyed(
-            instance_fingerprint(instance), lambda: instance
-        )
-
-    def get_or_build_keyed(
-        self, key: str, make_instance
-    ) -> tuple[SignatureIndex, bool]:
-        """Like :meth:`get_or_build` with a caller-supplied cache key.
-
-        ``make_instance`` is only invoked on a miss, which lets callers
-        with an already-canonical key — the service's builtin workload
-        specs — skip both data regeneration and content hashing on the
-        hot path.  (An index cached under a spec key is a separate entry
-        from the same data cached by fingerprint; builtin specs are
-        deterministic, so in practice the split never occurs.)
-        """
-        index = self._entries.get(key)
-        if index is not None:
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return index, True
-        self._misses += 1
-        index, kind = self._resolve_miss(key, make_instance)
-        return self._store(key, index, kind), False
-
-    # --- asynchronous single-flight path -----------------------------------
+    # --- single-flight lookup ------------------------------------------------
 
     async def get_or_build_keyed_async(
         self, key: str, make_instance, executor=None
     ) -> tuple[SignatureIndex, bool]:
-        """Single-flight, executor-backed variant of
-        :meth:`get_or_build_keyed`.
+        """The shared index cached under ``key`` and whether it was
+        already there (or already being built).
 
-        A cold key starts exactly one build on ``executor`` (``None`` =
-        the loop's default pool); every concurrent request for the same
-        key awaits that build's future and counts as a cache hit.  The
-        event loop never blocks — while the build grinds on a worker
-        thread, unrelated sessions keep answering.
+        ``make_instance`` is only invoked on a miss, so a caller with an
+        already-canonical key — a builtin workload spec — skips both
+        data regeneration and content hashing on a hit.  A cold key
+        starts exactly one build on ``executor`` (``None`` = the loop's
+        default pool); every concurrent request for the same key awaits
+        that build's future and counts as a cache hit.  The event loop
+        never blocks — while the build grinds on a worker thread,
+        unrelated sessions keep answering.
 
         The build is driven by a task owned by the cache, and every
         requester awaits the shared future through

@@ -11,12 +11,14 @@ Expiry is lazy: every entry-point sweeps sessions idle longer than the
 TTL, and capacity is enforced after the sweep — a full server answers
 creation requests with 429 rather than evicting live users.
 
-Session creation has two flavours: the synchronous :meth:`~SessionManager.create`
-builds a cold index inline (embedding callers, tests), while the server
-uses :meth:`~SessionManager.create_async`, which pushes the build through
-the cache's single-flight path onto a ``concurrent.futures`` worker pool
-(``build_workers`` threads, each running one whole build through the
-index kernel) so a cold build never stalls the event loop.
+Opening, looking up, listing and deleting sessions are coroutines run
+on the server's event loop: :meth:`~SessionManager.create_async` pushes
+a cold index build through the cache's single-flight path onto a
+``concurrent.futures`` worker pool (``build_workers`` threads, each
+running one whole build through the index kernel), and every store read
+or snapshot replay runs on a pool too, so none of them stalls the loop.
+A question round — :meth:`~SessionManager.propose_question_async`, then
+:meth:`~SessionManager.record_answer` — runs under the session's lock.
 
 **Speculative next-question precompute.**  Question selection — L2S
 especially — is the expensive half of a round-trip, and it happens while
@@ -646,11 +648,7 @@ class SessionManager:
         if self._batcher is None and self.plan_cache is None:
             return
         strategy = session.strategy
-        if (
-            isinstance(strategy, LookaheadSkylineStrategy)
-            and strategy.vectorised
-            and strategy.incremental
-        ):
+        if isinstance(strategy, LookaheadSkylineStrategy):
             strategy.entropy_router = self._batch_router(
                 id(session.index)
             )
@@ -686,9 +684,9 @@ class SessionManager:
             except RuntimeError:
                 on_loop = False
             else:
-                # Synchronous propose of an embedder-style call-in:
-                # never block the loop on a batch window or the shared
-                # registry.  propose_question_async primes off-loop.
+                # A propose on the loop whose table was not primed
+                # (e.g. the batcher closed): never block the loop on a
+                # batch window or the shared registry.
                 on_loop = True
             plan_key = None
             if plan_cache is not None:
@@ -713,44 +711,22 @@ class SessionManager:
 
         return route
 
-    @staticmethod
-    def _builtin_key(spec: dict[str, Any]) -> str:
-        """The cache key of a builtin workload spec — one definition,
-        shared by the sync and async paths, so both always land on the
-        same cache entry and the same single-flight build."""
-        return "builtin:" + json.dumps(
-            spec["builtin"], sort_keys=True, default=str
-        )
-
-    def _index_for_spec(
+    async def _index_for_spec_async(
         self, spec: dict[str, Any], instance: Instance | None
     ) -> tuple[Instance, SignatureIndex, bool]:
         """Resolve ``(instance, shared index, cache hit)`` for a spec.
 
-        Builtin specs are already canonical, so they key the cache
-        directly — a hit skips both workload regeneration and content
-        hashing, and the instance comes back off the cached index.
-        """
-        if instance is None and "builtin" in spec:
-            index, hit = self.index_cache.get_or_build_keyed(
-                self._builtin_key(spec), lambda: instance_from_spec(spec)
-            )
-            return index.instance, index, hit
-        if instance is None:
-            instance = instance_from_spec(spec)
-        index, hit = self.index_cache.get_or_build(instance)
-        return instance, index, hit
-
-    async def _index_for_spec_async(
-        self, spec: dict[str, Any], instance: Instance | None
-    ) -> tuple[Instance, SignatureIndex, bool]:
-        """Async twin of :meth:`_index_for_spec`: the build runs on the
-        manager's worker pool (single-flight per key), so the event loop
-        keeps serving other sessions during a cold build."""
+        A builtin spec is canonical, so it keys the cache directly: a
+        hit skips both workload regeneration and content hashing, and
+        the instance comes back off the cached index.  A cold build
+        runs on the manager's worker pool (single-flight per key), so
+        the event loop keeps serving other sessions meanwhile."""
         cache = self.index_cache
         executor = self._executor()
         if instance is None and "builtin" in spec:
-            key = self._builtin_key(spec)
+            key = "builtin:" + json.dumps(
+                spec["builtin"], sort_keys=True, default=str
+            )
             if key not in cache:
                 self._yield_speculation_to_build()
             index, hit = await cache.get_or_build_keyed_async(
@@ -799,26 +775,9 @@ class SessionManager:
         if session_id is not None and session_id in self._sessions:
             raise Conflict(f"session {session_id!r} already exists")
 
-    def create(self, spec: CreateSpec) -> ManagedSession:
-        """Open a session per a validated creation request (inline build)."""
-        self._check_session_id(spec.session_id)
-        self._ensure_capacity()
-        instance, index, hit = self._index_for_spec(
-            spec.instance_spec, spec.instance
-        )
-        session = self._make_session(spec, instance, index)
-        managed = self._admit(
-            self._build(
-                session, spec.instance_spec, hit,
-                session_id=spec.session_id,
-            )
-        )
-        self._persist_create(managed)
-        self._publish_lifecycle(managed, "session_created")
-        return managed
-
     async def create_async(self, spec: CreateSpec) -> ManagedSession:
-        """Like :meth:`create`, but a cold index build happens off-loop.
+        """Open a session per a validated creation request; a cold
+        index build happens off-loop.
 
         Capacity is re-checked by ``_admit`` after the await — the
         server may have filled while the build was in flight.
@@ -861,30 +820,13 @@ class SessionManager:
             raise BadRequest("snapshot carries no instance spec")
         return instance_spec
 
-    def resume(
-        self, payload: dict[str, Any], session_id: str | None = None
-    ) -> ManagedSession:
-        """Open a session by replaying a snapshot payload."""
-        self._check_session_id(session_id)
-        instance_spec = self._snapshot_instance_spec(payload)
-        self._ensure_capacity()
-        instance, index, hit = self._index_for_spec(instance_spec, None)
-        session = self._resume_session(payload, instance, index)
-        managed = self._admit(
-            self._build(
-                session, instance_spec, hit, session_id=session_id
-            )
-        )
-        self._persist_create(managed)
-        self._publish_lifecycle(managed, "session_resumed")
-        return managed
-
     async def resume_async(
         self, payload: dict[str, Any], session_id: str | None = None
     ) -> ManagedSession:
-        """Like :meth:`resume`, but the cold index build *and* the
-        label replay happen off-loop — replaying a long snapshot steps
-        the strategy once per label, which is O(snapshot), not O(1)."""
+        """Open a session by replaying a snapshot payload.  The cold
+        index build *and* the label replay happen off-loop — replaying
+        a long snapshot steps the strategy once per label, which is
+        O(snapshot), not O(1)."""
         self._check_session_id(session_id)
         instance_spec = self._snapshot_instance_spec(payload)
         self._ensure_capacity()
@@ -903,9 +845,13 @@ class SessionManager:
         self._publish_lifecycle(managed, "session_resumed")
         return managed
 
-    def snapshot(self, session_id: str) -> dict[str, Any]:
-        """The resumable state of one session as a JSON payload."""
-        managed = self.get(session_id)
+    @staticmethod
+    def snapshot(managed: ManagedSession) -> dict[str, Any]:
+        """The resumable state of one session as a JSON payload.
+
+        Takes the session a caller holds (the HTTP handler, under its
+        lock) rather than an id: looking the id up again could find it
+        demoted in the meantime and rehydrate it."""
         return snapshot_payload(
             managed.session, instance_ref=managed.instance_spec
         )
@@ -1415,11 +1361,6 @@ class SessionManager:
             self._drop_speculation(managed)
             del self._sessions[session_id]
 
-    def _snapshot_payload(self, managed: ManagedSession) -> dict[str, Any]:
-        return snapshot_payload(
-            managed.session, instance_ref=managed.instance_spec
-        )
-
     def _persist_create(self, managed: ManagedSession) -> None:
         """Write the session's create record (checkpoint at admission).
 
@@ -1439,7 +1380,7 @@ class SessionManager:
             self._enqueue_store_op(managed, ("acquire",))
             self._ensure_heartbeat()
         self._enqueue_store_op(
-            managed, ("checkpoint", self._snapshot_payload(managed), seq)
+            managed, ("checkpoint", self.snapshot(managed), seq)
         )
         self._kick_flush(managed)
 
@@ -1458,7 +1399,7 @@ class SessionManager:
             managed.checkpoint_seq = seq
             self._enqueue_store_op(
                 managed,
-                ("checkpoint", self._snapshot_payload(managed), seq),
+                ("checkpoint", self.snapshot(managed), seq),
             )
         self._kick_flush(managed)
         if (
@@ -1466,11 +1407,11 @@ class SessionManager:
             and managed.store_flush_future is not None
         ):
             # This session was demoted (or replaced) while the caller
-            # still held it — an embedder-thread interleaving the
-            # lock-guarded server path prevents.  Re-park the late
-            # answer's flush so the next rehydration waits it out
-            # instead of loading a journal missing an acknowledged
-            # answer.
+            # still held it: on the server, a control demote or a drain
+            # that landed while the answer waited for the session lock.
+            # Re-park the late answer's flush so the next rehydration
+            # waits it out instead of loading a journal missing an
+            # acknowledged answer.
             self._demote_flushes[managed.session_id] = (
                 managed.store_flush_future
             )
@@ -1528,13 +1469,15 @@ class SessionManager:
                         self._drain_acquire(managed)
                         continue
                     if op[0] == "release":
+                        # The epoch stays set: a late answer drained
+                        # after the release is still fenced, so it
+                        # commits only if nobody took the lease over.
                         if managed.lease_epoch is not None:
                             store.release_lease(
                                 managed.session_id,
                                 self.owner_id,
                                 managed.lease_epoch,
                             )
-                            managed.lease_epoch = None
                         continue
                     store.put_checkpoint(
                         managed.session_id,
@@ -1696,21 +1639,6 @@ class SessionManager:
         self._publish_lifecycle(managed, "session_rehydrated")
         return managed
 
-    def _rehydrate_blocking(
-        self, session_id: str
-    ) -> ManagedSession | None:
-        """Synchronous rehydration for embedders (inline replay)."""
-        stored = self._load_stored(session_id)
-        if stored is None:
-            return None
-        instance_spec = self._snapshot_instance_spec(stored.payload)
-        self._ensure_capacity()
-        instance, index, hit = self._index_for_spec(instance_spec, None)
-        session = self._resume_session(stored.payload, instance, index)
-        return self._admit_rehydrated(
-            session_id, session, instance_spec, hit, stored
-        )
-
     async def _drive_rehydrate(
         self, session_id: str, future: asyncio.Future
     ) -> None:
@@ -1766,32 +1694,14 @@ class SessionManager:
             return managed
         return None
 
-    def get(self, session_id: str) -> ManagedSession:
+    async def get_async(self, session_id: str) -> ManagedSession:
         """The live session with this id (touches its TTL clock).
 
         With a store attached, a demoted or recoverable session is
-        transparently rehydrated — *inline*, for synchronous embedders;
-        the server path uses :meth:`get_async`, which replays off-loop.
-        """
-        self._shed_lease_lost(session_id)
-        managed = self._touch_live_durable(session_id)
-        if managed is not None:
-            self.sweep()
-            return managed
-        self.sweep()
-        managed = self._sessions.get(session_id)
-        if managed is None and self.store is not None:
-            managed = self._rehydrate_blocking(session_id)
-        if managed is None:
-            raise NotFound(f"no session {session_id!r}")
-        managed.last_used = self._clock()
-        return managed
-
-    async def get_async(self, session_id: str) -> ManagedSession:
-        """Like :meth:`get`, but rehydration runs on the worker pools
-        (store read on the preprocessing pool, label replay on the
-        build pool) behind per-session single-flight — two concurrent
-        touches of one demoted session trigger exactly one replay."""
+        transparently rehydrated on the worker pools (store read on the
+        preprocessing pool, label replay on the build pool) behind
+        per-session single-flight — two concurrent touches of one
+        demoted session trigger exactly one replay."""
         self._shed_lease_lost(session_id)
         managed = self._touch_live_durable(session_id)
         if managed is not None:
@@ -1818,20 +1728,12 @@ class SessionManager:
         managed.last_used = self._clock()
         return managed
 
-    def delete(self, session_id: str) -> None:
-        """Drop a session — and, when a store is attached, forget its
-        durable state too; unknown ids raise :class:`NotFound`."""
-        if not self._delete_live(session_id):
-            if self.store is not None and session_id in self.store:
-                self._delete_stored(session_id)
-                return
-            raise NotFound(f"no session {session_id!r}")
-
     async def delete_async(self, session_id: str) -> None:
-        """Server twin of :meth:`delete`: the store existence probe for
-        a non-live id is a SQLite read, so it runs on the preprocessing
-        pool rather than stalling the event loop behind the writer
-        thread's store lock mid-commit."""
+        """Drop a session — and, when a store is attached, forget its
+        durable state too; unknown ids raise :class:`NotFound`.  The
+        store existence probe for a non-live id is a SQLite read, so it
+        runs on the preprocessing pool rather than stalling the event
+        loop behind the writer thread's store lock mid-commit."""
         if self._delete_live(session_id):
             return
         if self.store is not None and await self.offload(
@@ -1883,45 +1785,28 @@ class SessionManager:
             self._sessions.values(), key=lambda m: m.created_at
         )
 
-    def _counts_payload(
-        self, stored_ids: list[str] | None
-    ) -> dict[str, int]:
-        counts = {
-            "live": len(self._sessions),
-            "demoted": len(self._demoted),
-            "recoverable": 0,
-        }
-        if stored_ids is not None:
-            counts["recoverable"] = len(
-                set(stored_ids).difference(self._sessions)
-            )
-        return counts
-
-    def session_counts(self) -> dict[str, int]:
+    async def session_counts_async(self) -> dict[str, int]:
         """Live/demoted/recoverable tallies for ``GET /sessions``.
 
         *live* sessions are in memory; *demoted* ones were evicted to
         the store by this process and rehydrate on touch; *recoverable*
         is every stored session that is not currently live — demoted
         ones plus sessions left by a previous (possibly crashed)
-        process on the same store.
-        """
-        self.sweep()
-        return self._counts_payload(
-            self.store.session_ids() if self.store is not None else None
-        )
-
-    async def session_counts_async(self) -> dict[str, int]:
-        """Like :meth:`session_counts`, but the store read runs on the
+        process on the same store.  The store read runs on the
         preprocessing pool — a SQLite scan must not stall the event
-        loop behind the writer thread's store lock mid-commit."""
+        loop behind the writer thread's store lock mid-commit.
+        """
         self.sweep()
         stored_ids = (
             await self.offload(self.store.session_ids)
             if self.store is not None
-            else None
+            else ()
         )
-        return self._counts_payload(stored_ids)
+        return {
+            "live": len(self._sessions),
+            "demoted": len(self._demoted),
+            "recoverable": len(set(stored_ids).difference(self._sessions)),
+        }
 
     def __len__(self) -> int:
         return len(self._sessions)

@@ -8,6 +8,7 @@ through the returned namespaces.
 
 from __future__ import annotations
 
+import asyncio
 import faulthandler
 import os
 import random
@@ -245,6 +246,27 @@ def no_leaked_servers_or_threads():
     )
     assert not threads, (
         f"tests leaked background threads: {threads}"
+    )
+
+
+def lookup(cache, instance):
+    """One ``IndexCache`` lookup keyed by content fingerprint, as the
+    manager makes for uploaded data."""
+    from repro.service.index_cache import instance_fingerprint
+
+    return asyncio.run(
+        cache.get_or_build_keyed_async(
+            instance_fingerprint(instance), lambda: instance
+        )
+    )
+
+
+def on_server_loop(server, coro, timeout: float = 30.0):
+    """Run ``coro`` on a live ``ServiceServer``'s event loop from the
+    test thread and return its result: the loop owns the manager's
+    session table, so lookups go through it."""
+    return asyncio.run_coroutine_threadsafe(coro, server._loop).result(
+        timeout
     )
 
 

@@ -20,6 +20,8 @@ from repro.core import (
     LookaheadSkylineStrategy,
     SignatureIndex,
 )
+from repro.core.entropy import entropy_k_of_class
+from repro.core.fast_lookahead import entropies_for_informative
 from repro.core.oracle import Oracle
 from repro.core.strategies import (
     BottomUpStrategy,
@@ -28,6 +30,24 @@ from repro.core.strategies import (
 )
 
 from ..conftest import make_random_instance
+
+
+class ScratchLookahead(LookaheadSkylineStrategy):
+    """Every step from scratch through the vectorised kernels, with no
+    cross-step planner."""
+
+    def _entropies(self, state):
+        return entropies_for_informative(state, self.depth)
+
+
+class ReferenceLookahead(LookaheadSkylineStrategy):
+    """Every step through the recursive pure-Python reference."""
+
+    def _entropies(self, state):
+        return {
+            class_id: entropy_k_of_class(state, class_id, self.depth)
+            for class_id in state.informative_class_ids()
+        }
 
 
 class AdversarialOracle(Oracle):
@@ -95,7 +115,7 @@ class TestLookaheadSequenceParity:
         scratch = _question_sequence(
             instance,
             index,
-            LookaheadSkylineStrategy(depth=depth, incremental=False),
+            ScratchLookahead(depth=depth),
             make_oracle(seed),
             seed,
         )
@@ -104,7 +124,7 @@ class TestLookaheadSequenceParity:
             reference = _question_sequence(
                 instance,
                 index,
-                LookaheadSkylineStrategy(depth=depth, vectorised=False),
+                ReferenceLookahead(depth=depth),
                 make_oracle(seed),
                 seed,
             )
@@ -132,7 +152,7 @@ class TestLookaheadSequenceParity:
             scratch = _question_sequence(
                 instance,
                 index,
-                LookaheadSkylineStrategy(depth=depth, incremental=False),
+                ScratchLookahead(depth=depth),
                 make_oracle(depth),
                 depth,
             )

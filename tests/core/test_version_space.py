@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     Label,
+    LookaheadSkylineStrategy,
     PerfectOracle,
     SignatureIndex,
     VersionSpaceStrategy,
@@ -160,6 +161,14 @@ class TestCapFallback:
             seed=0,
         )
         assert result.matches_goal(instance, goal)
+        # Capped, IG asks exactly what plain L1S asks.
+        l1s = run_inference(
+            instance,
+            LookaheadSkylineStrategy(depth=1),
+            PerfectOracle(instance, goal),
+            seed=0,
+        )
+        assert result.history == l1s.history
 
     def test_alive_candidates_raises_when_capped(self):
         left = Relation.build("R", [f"A{i}" for i in range(8)], [(0,) * 8])

@@ -44,6 +44,8 @@ class TestParser:
             ("--lease-ttl", "0", "must be positive"),
             ("--lease-ttl", "nan", "must be a finite number"),
             ("--lease-ttl", "inf", "must be a finite number"),
+            ("--port", "70000", "must be between 0 and 65535"),
+            ("--port", "-1", "must be between 0 and 65535"),
         ],
     )
     def test_serve_rejects_out_of_range_numbers(
@@ -54,6 +56,12 @@ class TestParser:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: {message}" in err
+
+    def test_serve_fleet_without_store_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers requires --store" in capsys.readouterr().err
 
     def test_serve_session_ttl_zero_disables_eviction(self):
         from repro.cli import manager_from_args

@@ -85,8 +85,8 @@ class TestSingleFlight:
         assert stats["hits"] == 1
         # Both sessions share the identical index object.
         sessions = [
-            app.manager.get(a["session_id"]).session,
-            app.manager.get(b["session_id"]).session,
+            asyncio.run(app.manager.get_async(a["session_id"])).session,
+            asyncio.run(app.manager.get_async(b["session_id"])).session,
         ]
         assert sessions[0].index is sessions[1].index
         # The follower is reported as a cache hit, the leader as a miss.
@@ -180,7 +180,7 @@ class TestUnrelatedSessionsKeepAnswering:
             )
             assert status == 201
             session_id = created["session_id"]
-            managed = app.manager.get(session_id)
+            managed = await app.manager.get_async(session_id)
             oracle = PerfectOracle(managed.session.instance, goal)
 
             slow = asyncio.ensure_future(
@@ -526,9 +526,11 @@ class TestCliPlumbing:
             assert stats["index_cache"]["capacity"] == 5
             assert "shared" not in stats["index_cache"]
             assert "shared" not in stats["plan_cache"]
-            managed = manager.create(
-                parse_create_payload(
-                    {"workload": "tpch/join4", "strategy": "L2S", "seed": 7}
+            managed = asyncio.run(
+                manager.create_async(
+                    parse_create_payload(
+                        {"workload": "tpch/join4", "strategy": "L2S", "seed": 7}
+                    )
                 )
             )
             question = manager.propose_question(managed)

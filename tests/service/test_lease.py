@@ -23,6 +23,7 @@ the new owner's data.
 
 from __future__ import annotations
 
+import asyncio
 import sqlite3
 import threading
 import time
@@ -32,6 +33,7 @@ import pytest
 from repro.service import (
     Conflict,
     LeaseFenced,
+    ServiceApp,
     SqliteSessionStore,
     StoreError,
 )
@@ -248,8 +250,10 @@ class TestManagerLeasing:
     def test_create_acquires_and_demote_releases(self, tmp_path):
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = leased_manager(store, "w0g1")
-        managed = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=4, seed=1))
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=1))
+            )
         )
         drive(manager, managed, BiasedCoin(1), limit=2)
         manager.flush_store()
@@ -270,8 +274,10 @@ class TestManagerLeasing:
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = leased_manager(store, "w0g1", lease_ttl_seconds=0.3)
-        managed = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=4, seed=2))
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=2))
+            )
         )
         drive(manager, managed, BiasedCoin(1), limit=1)
         manager.flush_store()
@@ -286,8 +292,10 @@ class TestManagerLeasing:
     ):
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = leased_manager(store, "w0g1")
-        managed = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=5, seed=3))
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=5, seed=3))
+            )
         )
         sid = managed.session_id
         drive(manager, managed, BiasedCoin(1), limit=2)
@@ -311,7 +319,71 @@ class TestManagerLeasing:
         assert after.journal_seq == before.journal_seq
         assert store.lease_of(sid).owner == "intruder"
         with pytest.raises(Conflict):
-            manager.get(sid)
+            asyncio.run(manager.get_async(sid))
+        manager.close(wait=True)
+        store.close()
+
+    def test_answer_drained_after_release_stays_fenced(self, tmp_path):
+        """An answer that waited for the session lock while a control
+        demote released the lease is journaled behind the release.  It
+        must still carry the released ``(owner, epoch)`` fence: here a
+        successor takes the lease over (epoch 2) and journals the same
+        question first, so the deposed owner's late append is fenced
+        out and the successor's row survives."""
+
+        class ParkingStore(SqliteSessionStore):
+            """Parks the writer thread inside ``release_lease``, after
+            the release has committed, until the test lets it go."""
+
+            def __init__(self, path):
+                super().__init__(path)
+                self.parked = threading.Event()
+                self.resume = threading.Event()
+
+            def release_lease(self, session_id, owner, epoch):
+                released = super().release_lease(session_id, owner, epoch)
+                self.parked.set()
+                self.resume.wait(timeout=10)
+                return released
+
+        store = ParkingStore(str(tmp_path / "s.db"))
+        manager = leased_manager(store, "w0")
+        app = ServiceApp(manager)
+
+        async def scenario():
+            managed = await manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=5))
+            )
+            sid = managed.session_id
+            question = await manager.propose_question_async(managed)
+            await manager.offload(manager.flush_store)  # lease at epoch 1
+            await managed.lock.acquire()  # another request is mid-round
+            answer = asyncio.ensure_future(
+                app.dispatch(
+                    "POST",
+                    f"/sessions/{sid}/answer",
+                    {"question_id": question.question_id, "label": "+"},
+                )
+            )
+            await asyncio.sleep(0.05)  # the answer now waits on the lock
+            manager.demote(sid)  # what POST /control/demote runs
+            while not store.parked.is_set():
+                await asyncio.sleep(0.01)
+            managed.lock.release()
+            status, _ = await answer
+            assert status == 200
+            successor = store.acquire_lease(sid, "w1", TTL)
+            assert successor.epoch == 2
+            store.append_answers(
+                sid, [(1, question.class_id, "-")], fence=("w1", 2)
+            )
+            store.resume.set()
+            await manager.offload(manager.flush_store)
+            return sid, question.class_id
+
+        sid, class_id = asyncio.run(scenario())
+        assert store.load(sid).payload["labeled"] == [[class_id, "-"]]
+        assert manager.stats()["store"]["lease"]["fenced_writes"] == 1
         manager.close(wait=True)
         store.close()
 
@@ -330,7 +402,9 @@ class TestManagerLeasing:
         worker_a = leased_manager(
             store, "w0g1", lease_ttl_seconds=0.3, checkpoint_every=3
         )
-        managed = worker_a.create(inline_spec(instance, "L2S", seed=11))
+        managed = asyncio.run(
+            worker_a.create_async(inline_spec(instance, "L2S", seed=11))
+        )
         sid = managed.session_id
         prefix = drive(
             worker_a, managed, _PrefixedOracle(cut, seed=9), limit=cut
@@ -340,7 +414,8 @@ class TestManagerLeasing:
         worker_a._heartbeat_stop.set()
 
         worker_b = leased_manager(store, "w1g2", lease_ttl_seconds=0.3)
-        recovered = worker_b.get(sid)  # waits out A's lease, epoch 2
+        # waits out A's lease, epoch 2
+        recovered = asyncio.run(worker_b.get_async(sid))
         assert store.lease_of(sid).owner == "w1g2"
         assert store.lease_of(sid).epoch == 2
         suffix = drive(worker_b, recovered, _PrefixedOracle(0, seed=9))

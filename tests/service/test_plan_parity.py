@@ -11,6 +11,7 @@ store.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import time
 from concurrent.futures import wait as wait_futures
@@ -18,7 +19,6 @@ from concurrent.futures import wait as wait_futures
 import pytest
 
 from repro.core import (
-    InferenceSession,
     Label,
     PerfectOracle,
     SignatureIndex,
@@ -122,19 +122,25 @@ class TestCacheOnOffParity:
         try:
             baseline = drive(
                 off,
-                off.create(inline_spec(instance, strategy, seed)),
+                asyncio.run(
+                    off.create_async(inline_spec(instance, strategy, seed))
+                ),
                 BiasedCoin(seed),
             )
             first = drive(
                 on,
-                on.create(inline_spec(instance, strategy, seed)),
+                asyncio.run(
+                    on.create_async(inline_spec(instance, strategy, seed))
+                ),
                 BiasedCoin(seed),
             )
             # Same seed again: the second session rides cached tables
             # end to end and must still match bit for bit.
             second = drive(
                 on,
-                on.create(inline_spec(instance, strategy, seed)),
+                asyncio.run(
+                    on.create_async(inline_spec(instance, strategy, seed))
+                ),
                 BiasedCoin(seed),
             )
             assert first == baseline
@@ -154,8 +160,8 @@ class TestCacheOnOffParity:
             on.close(wait=True)
 
     def test_depth3_and_reference_mode_parity(self, tmp_path):
-        """Depth-3 and the non-vectorised reference kernel follow the
-        same route; the cache must be invisible there too."""
+        """Depth-3 lookahead follows the same route as L2S; the cache
+        must be invisible there too."""
         instance = boundary_instance(3, 3, rows=7, seed=2)
         for strategy in ("L3S", "L2S"):
             off = SessionManager(
@@ -165,12 +171,16 @@ class TestCacheOnOffParity:
             try:
                 baseline = drive(
                     off,
-                    off.create(inline_spec(instance, strategy, 4)),
+                    asyncio.run(
+                        off.create_async(inline_spec(instance, strategy, 4))
+                    ),
                     BiasedCoin(4),
                 )
                 cached = drive(
                     on,
-                    on.create(inline_spec(instance, strategy, 4)),
+                    asyncio.run(
+                        on.create_async(inline_spec(instance, strategy, 4))
+                    ),
                     BiasedCoin(4),
                 )
                 assert cached == baseline
@@ -190,13 +200,15 @@ class TestSpeculationParity:
             build_workers=2, speculation_min_think_seconds=0.0
         )
         try:
-            managed = manager.create(
-                CreateSpec(
-                    {"inline": instance_to_dict(workload.instance)},
-                    workload.instance,
-                    "L2S",
-                    5,
-                    None,
+            managed = asyncio.run(
+                manager.create_async(
+                    CreateSpec(
+                        {"inline": instance_to_dict(workload.instance)},
+                        workload.instance,
+                        "L2S",
+                        5,
+                        None,
+                    )
                 )
             )
             asked = []
@@ -305,7 +317,9 @@ class TestSpeculationFastPath:
         try:
             cold = self._drive_with_waits(
                 manager,
-                manager.create(inline_spec(instance, "L2S", 9)),
+                asyncio.run(
+                    manager.create_async(inline_spec(instance, "L2S", 9))
+                ),
                 BiasedCoin(9),
             )
             stats = self._settle(manager)
@@ -317,7 +331,9 @@ class TestSpeculationFastPath:
 
             warm = self._drive_with_waits(
                 manager,
-                manager.create(inline_spec(instance, "L2S", 9)),
+                asyncio.run(
+                    manager.create_async(inline_spec(instance, "L2S", 9))
+                ),
                 BiasedCoin(9),
             )
             stats = self._settle(manager)
@@ -354,7 +370,9 @@ class TestRehydrateParity:
         try:
             baseline = drive(
                 off,
-                off.create(inline_spec(instance, strategy, seed)),
+                asyncio.run(
+                    off.create_async(inline_spec(instance, strategy, seed))
+                ),
                 BiasedCoin(seed),
             )
         finally:
@@ -371,7 +389,9 @@ class TestRehydrateParity:
             checkpoint_every=2,
             shared_plan=tier_a,
         )
-        managed = worker_a.create(inline_spec(instance, strategy, seed))
+        managed = asyncio.run(
+            worker_a.create_async(inline_spec(instance, strategy, seed))
+        )
         session_id = managed.session_id
         first_half = drive(worker_a, managed, oracle, limit=split)
         # A proposes one more question (scoring — and publishing — the
@@ -391,7 +411,7 @@ class TestRehydrateParity:
             shared_plan=tier_b,
         )
         try:
-            rehydrated = worker_b.get(session_id)
+            rehydrated = asyncio.run(worker_b.get_async(session_id))
             assert rehydrated.session.state.interaction_count == split
             rest = drive(worker_b, rehydrated, oracle)
             assert first_half + rest == baseline

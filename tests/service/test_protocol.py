@@ -21,6 +21,8 @@ from repro.service import (
     parse_label,
 )
 
+from ..conftest import lookup
+
 
 def small_instance(value=1):
     return Instance(
@@ -123,8 +125,8 @@ class TestAnswerPayload:
 class TestIndexCache:
     def test_value_identical_instances_share_index(self):
         cache = IndexCache()
-        index_a, hit_a = cache.get_or_build(small_instance())
-        index_b, hit_b = cache.get_or_build(small_instance())
+        index_a, hit_a = lookup(cache, small_instance())
+        index_b, hit_b = lookup(cache, small_instance())
         assert index_a is index_b
         assert (hit_a, hit_b) == (False, True)
         assert cache.hit_ratio == 0.5
@@ -185,12 +187,12 @@ class TestIndexCache:
 
     def test_lru_eviction(self):
         cache = IndexCache(capacity=2)
-        cache.get_or_build(small_instance(1))
-        cache.get_or_build(small_instance(2))
-        cache.get_or_build(small_instance(1))  # touch 1 → 2 is LRU
-        cache.get_or_build(small_instance(5))  # evicts 2
+        lookup(cache, small_instance(1))
+        lookup(cache, small_instance(2))
+        lookup(cache, small_instance(1))  # touch 1 → 2 is LRU
+        lookup(cache, small_instance(5))  # evicts 2
         assert len(cache) == 2
-        _, hit = cache.get_or_build(small_instance(2))
+        _, hit = lookup(cache, small_instance(2))
         assert not hit
 
     def test_builtin_workload_fingerprint_deterministic(self):
@@ -224,30 +226,31 @@ def csv_spec(value=1, strategy="TD", seed=0, max_questions=None):
 class TestSessionManager:
     def test_create_get_delete(self):
         manager = make_manager()
-        managed = manager.create(csv_spec())
-        assert manager.get(managed.session_id) is managed
-        manager.delete(managed.session_id)
+        managed = asyncio.run(manager.create_async(csv_spec()))
+        assert asyncio.run(manager.get_async(managed.session_id)) is managed
+        asyncio.run(manager.delete_async(managed.session_id))
         with pytest.raises(NotFound):
-            manager.get(managed.session_id)
+            asyncio.run(manager.get_async(managed.session_id))
         with pytest.raises(NotFound):
-            manager.delete(managed.session_id)
+            asyncio.run(manager.delete_async(managed.session_id))
 
     def test_capacity_limit(self):
         manager = make_manager(max_sessions=2)
-        manager.create(csv_spec(1))
-        manager.create(csv_spec(2))
+        asyncio.run(manager.create_async(csv_spec(1)))
+        asyncio.run(manager.create_async(csv_spec(2)))
         with pytest.raises(CapacityExceeded):
-            manager.create(csv_spec(3))
+            asyncio.run(manager.create_async(csv_spec(3)))
 
     def test_ttl_eviction_uses_idle_time(self):
         now = [0.0]
         manager = make_manager(
             ttl_seconds=10.0, clock=lambda: now[0]
         )
-        stale = manager.create(csv_spec(1))
+        stale = asyncio.run(manager.create_async(csv_spec(1)))
         now[0] = 6.0
-        fresh = manager.create(csv_spec(2))
-        manager.get(stale.session_id)  # touch: resets the idle clock
+        fresh = asyncio.run(manager.create_async(csv_spec(2)))
+        # touch: resets the idle clock
+        asyncio.run(manager.get_async(stale.session_id))
         now[0] = 12.0
         assert {m.session_id for m in manager.list_sessions()} == {
             stale.session_id,
@@ -259,21 +262,25 @@ class TestSessionManager:
 
     def test_sessions_on_same_data_share_index(self):
         manager = make_manager()
-        a = manager.create(csv_spec(1))
-        b = manager.create(csv_spec(1, strategy="BU", seed=9))
+        a = asyncio.run(manager.create_async(csv_spec(1)))
+        b = asyncio.run(
+            manager.create_async(csv_spec(1, strategy="BU", seed=9))
+        )
         assert a.session.index is b.session.index
         assert not a.cache_hit and b.cache_hit
         assert a.session.state is not b.session.state
 
     def test_manager_snapshot_resume_round_trip(self):
         manager = make_manager()
-        managed = manager.create(csv_spec(1, strategy="BU"))
+        managed = asyncio.run(
+            manager.create_async(csv_spec(1, strategy="BU"))
+        )
         session = managed.session
         question = session.propose()
         session.answer(question.question_id, Label.NEGATIVE)
-        payload = manager.snapshot(managed.session_id)
+        payload = manager.snapshot(managed)
         assert payload["kind"] == "session_snapshot"
-        resumed = manager.resume(payload)
+        resumed = asyncio.run(manager.resume_async(payload))
         assert resumed.session_id != managed.session_id
         assert (
             resumed.session.state.labeled_classes()
@@ -285,9 +292,9 @@ class TestSessionManager:
     def test_resume_rejects_garbage(self):
         manager = make_manager()
         with pytest.raises(BadRequest):
-            manager.resume({"instance": {"builtin": {}}})
+            asyncio.run(manager.resume_async({"instance": {"builtin": {}}}))
         with pytest.raises(BadRequest):
-            manager.resume({"nonsense": True})
+            asyncio.run(manager.resume_async({"nonsense": True}))
 
 
 class TestAppRouting:
@@ -415,20 +422,22 @@ class TestHardening:
         calls = []
 
         class CountingCache(IndexCache):
-            def get_or_build(self, instance):
-                calls.append(instance)
-                return super().get_or_build(instance)
+            async def get_or_build_keyed_async(self, key, *args):
+                calls.append(key)
+                return await super().get_or_build_keyed_async(key, *args)
 
         manager = make_manager(
             index_cache=CountingCache(), max_sessions=1
         )
-        manager.create(csv_spec(1))
+        asyncio.run(manager.create_async(csv_spec(1)))
         assert len(calls) == 1
         with pytest.raises(CapacityExceeded):
-            manager.create(csv_spec(2))
+            asyncio.run(manager.create_async(csv_spec(2)))
         with pytest.raises(CapacityExceeded):
-            manager.resume(
-                {"instance": {"inline": {}}, "labeled": []}
+            asyncio.run(
+                manager.resume_async(
+                    {"instance": {"inline": {}}, "labeled": []}
+                )
             )
         assert len(calls) == 1  # neither rejected request built anything
 
@@ -471,8 +480,8 @@ class TestHardening:
         spec = parse_create_payload(
             {"workload": "synthetic/1", "seed": 0}
         )
-        first = manager.create(spec)
-        second = manager.create(spec)
+        first = asyncio.run(manager.create_async(spec))
+        second = asyncio.run(manager.create_async(spec))
         assert len(calls) == 1  # hit served without regenerating
         assert second.session.instance is first.session.instance
         assert second.session.index is first.session.index

@@ -30,6 +30,8 @@ from repro.service import (
     SessionManager,
 )
 
+from ..conftest import on_server_loop
+
 WORKLOAD_NAME = "tpch/join4"
 TPCH_SEED = 0
 TPCH_SCALE = 1.0
@@ -142,11 +144,10 @@ class TestConcurrentSessions:
             sid_b = client.create_session(
                 workload=WORKLOAD_NAME, strategy="BU", seed=1
             )["session_id"]
-            managed = server.manager.get(sid_a)
-            assert (
-                managed.session.index
-                is server.manager.get(sid_b).session.index
-            )
+            manager = server.manager
+            managed = on_server_loop(server, manager.get_async(sid_a))
+            other = on_server_loop(server, manager.get_async(sid_b))
+            assert managed.session.index is other.session.index
             answer_a = remote_answerer(oracle_a)
             answer_b = remote_answerer(oracle_b)
             live = {sid_a: answer_a, sid_b: answer_b}

@@ -15,6 +15,7 @@ The acceptance properties:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import random
@@ -39,7 +40,7 @@ from repro.service import (
 )
 from repro.service.shm_registry import _segment_name
 
-from ..conftest import make_random_instance
+from ..conftest import lookup, make_random_instance
 from ..properties.test_index_build import assert_identical
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -465,7 +466,7 @@ class TestIndexCacheAttachTier:
         cache_a = IndexCache(capacity=4, shared=plane_a)
         cache_b = IndexCache(capacity=4, shared=plane_b)
         try:
-            index_a, cached = cache_a.get_or_build(instance)
+            index_a, cached = lookup(cache_a, instance)
             assert not cached
             assert cache_a.misses == 1
             assert cache_a.builds == 1
@@ -473,12 +474,12 @@ class TestIndexCacheAttachTier:
             assert cache_a.attach_hits == 0
 
             # Warm in A: an ordinary LRU hit, no plane traffic.
-            again, cached = cache_a.get_or_build(instance)
+            again, cached = lookup(cache_a, instance)
             assert cached and again is index_a
             assert cache_a.hits == 1
 
             # Cold in B: resolved by attach, not build.
-            index_b, cached = cache_b.get_or_build(instance)
+            index_b, cached = lookup(cache_b, instance)
             assert not cached
             assert cache_b.misses == 1
             assert cache_b.attach_hits == 1
@@ -508,8 +509,6 @@ class TestIndexCacheAttachTier:
             plane_b.close()
 
     def test_async_miss_uses_the_attach_tier(self, tmp_path):
-        import asyncio
-
         rng = random.Random(42)
         instance = make_random_instance(rng, 2, 3, rows=8, values=2)
         db = tmp_path / "fleet.db"
@@ -518,7 +517,7 @@ class TestIndexCacheAttachTier:
         cache_a = IndexCache(capacity=4, shared=plane_a)
         cache_b = IndexCache(capacity=4, shared=plane_b)
         try:
-            cache_a.get_or_build(instance)
+            lookup(cache_a, instance)
 
             async def attach():
                 return await cache_b.get_or_build_keyed_async(
@@ -540,7 +539,7 @@ class TestIndexCacheWithoutPlane:
         rng = random.Random(43)
         instance = make_random_instance(rng, 2, 2, rows=8, values=2)
         cache = IndexCache(capacity=4)
-        index, cached = cache.get_or_build(instance)
+        index, cached = lookup(cache, instance)
         assert not cached
         assert cache.builds == 1
         assert cache.attach_hits == 0
@@ -556,8 +555,8 @@ class TestIndexCacheWithoutPlane:
         second = make_random_instance(rng, 2, 2, rows=8, values=2)
         assert instance_fingerprint(first) != instance_fingerprint(second)
         cache = IndexCache(capacity=1)
-        cache.get_or_build(first)
-        index_two, _ = cache.get_or_build(second)
+        lookup(cache, first)
+        index_two, _ = lookup(cache, second)
         assert len(cache) == 1
         assert (
             cache.resident_bytes()["private_bytes"] == index_two.nbytes

@@ -9,6 +9,7 @@ and cancellation paths do not leak or corrupt sessions.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from concurrent.futures import wait as wait_futures
 
@@ -25,6 +26,8 @@ from repro.data import generate_tpch, tpch_workloads
 from repro.service import ServiceClient, ServiceServer, SessionManager
 from repro.service.protocol import parse_create_payload
 
+from ..conftest import on_server_loop
+
 
 def _workload():
     return tpch_workloads(generate_tpch(scale=1.0, seed=0))[3]
@@ -34,7 +37,7 @@ def _create(manager, strategy="L2S", seed=0):
     spec = parse_create_payload(
         {"workload": "tpch/join4", "strategy": strategy, "seed": seed}
     )
-    return manager.create(spec)
+    return asyncio.run(manager.create_async(spec))
 
 
 def _await_speculation(managed):
@@ -313,7 +316,7 @@ class TestCapacityAndCancellation:
             managed = _create(manager)
             manager.propose_question(managed)
             spec = managed.speculation
-            manager.delete(managed.session_id)
+            asyncio.run(manager.delete_async(managed.session_id))
             assert managed.speculation is None
             for branch in spec.branches.values():
                 assert branch.abort.is_set()
@@ -352,7 +355,9 @@ class TestOverHttp:
                     # branch computations to finish
                     deadline = time.monotonic() + 5.0
                     while time.monotonic() < deadline:
-                        managed = manager.get(session_id)
+                        managed = on_server_loop(
+                            server, manager.get_async(session_id)
+                        )
                         spec = managed.speculation
                         if spec is not None and all(
                             b.future.done()

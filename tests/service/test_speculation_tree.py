@@ -37,7 +37,7 @@ def _create(manager, strategy="L2S", seed=0):
     spec = parse_create_payload(
         {"workload": "tpch/join4", "strategy": strategy, "seed": seed}
     )
-    return manager.create(spec)
+    return asyncio.run(manager.create_async(spec))
 
 
 def _await_tree(managed):
@@ -194,7 +194,7 @@ class TestSpeculationTree:
             managed = _create(manager, seed=5)
             manager.propose_question(managed)
             spec = _await_tree(managed)
-            manager.delete(managed.session_id)
+            asyncio.run(manager.delete_async(managed.session_id))
             assert managed.speculation is None
             for branch in spec.branches.values():
                 assert branch.abort.is_set()

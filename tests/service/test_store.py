@@ -15,6 +15,7 @@ on tiny instances below.)
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import random
@@ -32,11 +33,12 @@ from repro.core import (
     SignatureIndex,
     strategy_by_name,
 )
-from repro.core.serialize import instance_to_dict
+from repro.core.serialize import instance_to_dict, snapshot_payload
 from repro.service import (
     BadRequest,
     IndexCache,
     NotFound,
+    ServiceApp,
     ServiceClient,
     ServiceServer,
     SessionManager,
@@ -252,7 +254,9 @@ class TestManagerJournaling:
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store, checkpoint_every=2)
         instance = boundary_instance(2, 2, rows=5, seed=1)
-        managed = manager.create(inline_spec(instance, "BU"))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "BU"))
+        )
         asked = drive(manager, managed, BiasedCoin(3), limit=5)
         assert len(asked) == 5
         manager.flush_store()
@@ -269,10 +273,12 @@ class TestManagerJournaling:
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
         instance = boundary_instance(2, 2, rows=4, seed=2)
-        managed = manager.create(
-            CreateSpec(
-                {"inline": instance_to_dict(instance)},
-                instance, "TD", None, None,
+        managed = asyncio.run(
+            manager.create_async(
+                CreateSpec(
+                    {"inline": instance_to_dict(instance)},
+                    instance, "TD", None, None,
+                )
             )
         )
         assert not managed.durable
@@ -286,30 +292,35 @@ class TestManagerJournaling:
     def test_delete_forgets_durable_state(self, tmp_path):
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
-        managed = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+            )
         )
         drive(manager, managed, BiasedCoin(1), limit=2)
         manager.flush_store()
         assert managed.session_id in store
-        manager.delete(managed.session_id)
+        asyncio.run(manager.delete_async(managed.session_id))
         manager.close(wait=True)  # waits out the queued store delete
         assert managed.session_id not in store
         with pytest.raises(NotFound):
-            manager.get(managed.session_id)
+            asyncio.run(manager.get_async(managed.session_id))
+        manager.close(wait=True)  # the lookup's store read reopened a pool
         store.close()
 
     def test_delete_of_demoted_session_skips_rehydration(self, tmp_path):
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
-        managed = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=4, seed=4))
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=4))
+            )
         )
         manager.demote(managed.session_id)
-        manager.delete(managed.session_id)
+        asyncio.run(manager.delete_async(managed.session_id))
+        counts = asyncio.run(manager.session_counts_async())
         manager.close(wait=True)
         assert managed.session_id not in store
-        counts = manager.session_counts()
         assert counts["demoted"] == 0
         store.close()
 
@@ -325,18 +336,20 @@ class TestDemoteRehydrate:
             store=store, ttl_seconds=10.0, clock=lambda: now[0]
         )
         instance = boundary_instance(2, 3, rows=6, seed=5)
-        managed = manager.create(inline_spec(instance, "L2S", seed=11))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "L2S", seed=11))
+        )
         oracle = BiasedCoin(7)
         prefix = drive(manager, managed, oracle, limit=4)
         original_id = managed.session_id
 
         now[0] = 25.0
         assert manager.sweep() == [original_id]
-        counts = manager.session_counts()
+        counts = asyncio.run(manager.session_counts_async())
         assert counts == {"live": 0, "demoted": 1, "recoverable": 1}
         assert manager.stats()["expired_total"] == 0  # demoted, not lost
 
-        rehydrated = manager.get(original_id)
+        rehydrated = asyncio.run(manager.get_async(original_id))
         assert rehydrated.session_id == original_id
         assert rehydrated.durable
         assert rehydrated.session.state.interaction_count == 4
@@ -346,7 +359,7 @@ class TestDemoteRehydrate:
         )
         assert prefix + remaining == expected
         assert rehydrated.session.current_predicate() == predicate
-        assert manager.session_counts()["demoted"] == 0
+        assert asyncio.run(manager.session_counts_async())["demoted"] == 0
         manager.close(wait=True)
         store.close()
 
@@ -356,26 +369,34 @@ class TestDemoteRehydrate:
         manager = make_manager(
             store=store, max_sessions=2, clock=lambda: now[0]
         )
-        a = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=4, seed=6))
+        a = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=6))
+            )
         )
         now[0] = 1.0
-        b = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=4, seed=7))
+        b = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=7))
+            )
         )
         now[0] = 2.0
-        manager.get(a.session_id)  # touch: b becomes the LRU
+        # touch: b becomes the LRU
+        asyncio.run(manager.get_async(a.session_id))
         now[0] = 3.0
-        c = manager.create(
-            inline_spec(boundary_instance(2, 2, rows=4, seed=8))
+        c = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=8))
+            )
         )
         live = {m.session_id for m in manager.list_sessions()}
         assert live == {a.session_id, c.session_id}
-        counts = manager.session_counts()
+        counts = asyncio.run(manager.session_counts_async())
         assert counts["live"] == 2 and counts["demoted"] == 1
         # the demoted LRU is still reachable — rehydrating it demotes
         # the new LRU in turn
-        assert manager.get(b.session_id).session_id == b.session_id
+        rehydrated = asyncio.run(manager.get_async(b.session_id))
+        assert rehydrated.session_id == b.session_id
         assert len(manager) == 2
         manager.close(wait=True)
         store.close()
@@ -387,10 +408,13 @@ class TestDemoteRehydrate:
         store = SqliteSessionStore(path)
         manager = make_manager(store=store)
         instance = boundary_instance(2, 2, rows=4, seed=12)
-        managed = manager.create(inline_spec(instance, "L1S", seed=21))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "L1S", seed=21))
+        )
         manager.flush_store()
         store2 = SqliteSessionStore(path)
-        recovered = make_manager(store=store2).get(managed.session_id)
+        second = make_manager(store=store2)
+        recovered = asyncio.run(second.get_async(managed.session_id))
         assert recovered.session.state.interaction_count == 0
         oracle = BiasedCoin(5)
         first = recovered.session.propose()
@@ -402,6 +426,7 @@ class TestDemoteRehydrate:
         )
         assert first.class_id == twin.propose().class_id
         manager.close(wait=True)
+        second.close(wait=True)
         store.close()
         store2.close()
 
@@ -411,12 +436,14 @@ class TestDemoteRehydrate:
         store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
         instance = boundary_instance(2, 2, rows=4, seed=13)
-        managed = manager.create(inline_spec(instance, "BU", seed=2))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "BU", seed=2))
+        )
         drive(manager, managed, BiasedCoin(9))  # to Γ
         predicate = managed.session.current_predicate()
         total = managed.session.state.interaction_count
         manager.demote(managed.session_id)
-        recovered = manager.get(managed.session_id)
+        recovered = asyncio.run(manager.get_async(managed.session_id))
         assert recovered.session.is_finished()
         assert manager.propose_question(recovered) is None
         assert recovered.session.state.interaction_count == total
@@ -429,11 +456,13 @@ class TestDemoteRehydrate:
         store = SqliteSessionStore(path)
         manager = make_manager(store=store, checkpoint_every=100)
         instance = boundary_instance(2, 3, rows=6, seed=9)
-        managed = manager.create(inline_spec(instance, "TD", seed=2))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "TD", seed=2))
+        )
         oracle = BiasedCoin(11)
         drive(manager, managed, oracle, limit=3)
         manager.demote(managed.session_id)
-        rehydrated = manager.get(managed.session_id)
+        rehydrated = asyncio.run(manager.get_async(managed.session_id))
         drive(manager, rehydrated, oracle, limit=2)
         manager.flush_store()
         stored = store.load(managed.session_id)
@@ -454,10 +483,12 @@ class TestDemoteRehydrate:
             store=store, ttl_seconds=10.0, clock=lambda: now[0]
         )
         instance = boundary_instance(2, 3, rows=6, seed=14)
-        managed = manager.create(inline_spec(instance, "TD", seed=3))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "TD", seed=3))
+        )
         question = manager.propose_question(managed)
         now[0] = 25.0  # oracle thought past the TTL
-        touched = manager.get(managed.session_id)
+        touched = asyncio.run(manager.get_async(managed.session_id))
         assert touched is managed  # same object: no demote/rehydrate
         assert touched.session.pending_question is not None
         assert manager.stats()["store"]["rehydrations_total"] == 0
@@ -465,6 +496,41 @@ class TestDemoteRehydrate:
         manager.record_answer(
             managed, question.question_id, Label.NEGATIVE
         )
+        manager.close(wait=True)
+        store.close()
+
+    def test_snapshot_waiting_on_lock_survives_demote(self, tmp_path):
+        """``GET /snapshot`` answers from the session its handler
+        holds: a control demote that lands while the handler waits for
+        the session lock must not make it look the id up again and
+        rehydrate the session inline on the event loop."""
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
+        manager = make_manager(store=store)
+        app = ServiceApp(manager)
+        instance = boundary_instance(2, 2, rows=5, seed=17)
+
+        async def scenario():
+            managed = await manager.create_async(
+                inline_spec(instance, "BU", seed=4)
+            )
+            drive(manager, managed, BiasedCoin(3), limit=2)
+            expected = snapshot_payload(
+                managed.session, instance_ref=managed.instance_spec
+            )
+            sid = managed.session_id
+            await managed.lock.acquire()  # another request is mid-round
+            snapshot = asyncio.ensure_future(
+                app.dispatch("GET", f"/sessions/{sid}/snapshot", None)
+            )
+            await asyncio.sleep(0.05)  # the handler now waits on the lock
+            manager.demote(sid)  # what POST /control/demote runs
+            managed.lock.release()
+            return expected, await snapshot
+
+        expected, (status, payload) = asyncio.run(scenario())
+        assert status == 200
+        assert payload == expected
+        assert manager.stats()["store"]["rehydrations_total"] == 0
         manager.close(wait=True)
         store.close()
 
@@ -486,7 +552,9 @@ class TestDemoteRehydrate:
         store = FailingStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
         instance = boundary_instance(2, 2, rows=5, seed=15)
-        managed = manager.create(inline_spec(instance, "BU", seed=4))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "BU", seed=4))
+        )
         manager.flush_store()
         assert managed.session_id in store
         # While the store works, a journaled answer keeps it durable.
@@ -504,16 +572,15 @@ class TestDemoteRehydrate:
         assert managed.session_id not in store
         # the session stays live and usable, just no longer durable
         drive(manager, managed, BiasedCoin(2), limit=1)
-        manager.delete(managed.session_id)
+        asyncio.run(manager.delete_async(managed.session_id))
         with pytest.raises(NotFound):
-            manager.get(managed.session_id)
+            asyncio.run(manager.get_async(managed.session_id))
         manager.close(wait=True)
         store.close()
 
     def test_delete_during_rehydration_is_not_resurrected(self, tmp_path):
         """DELETE racing an in-flight rehydration must win: the replay
         finishes but is never admitted, and the waiter sees 404."""
-        import asyncio
         import threading as _threading
 
         class SlowLoadStore(SqliteSessionStore):
@@ -530,7 +597,9 @@ class TestDemoteRehydrate:
         store = SlowLoadStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
         instance = boundary_instance(2, 2, rows=4, seed=16)
-        managed = manager.create(inline_spec(instance, "TD", seed=9))
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "TD", seed=9))
+        )
         manager.demote(managed.session_id)
         session_id = managed.session_id
 
@@ -540,7 +609,7 @@ class TestDemoteRehydrate:
             )
             while not store.loading.is_set():
                 await asyncio.sleep(0.01)
-            manager.delete(session_id)  # store row + tombstone
+            await manager.delete_async(session_id)  # row + tombstone
             store.release.set()
             with pytest.raises(NotFound):
                 await touch
@@ -579,14 +648,16 @@ class TestEveryStrategyRecovers:
 
         first_store = SqliteSessionStore(path)
         first = make_manager(store=first_store, checkpoint_every=2)
-        managed = first.create(inline_spec(instance, strategy, seed=17))
+        managed = asyncio.run(
+            first.create_async(inline_spec(instance, strategy, seed=17))
+        )
         prefix = drive(first, managed, oracle, limit=cut)
         first.flush_store()
         # no close/demote — the "process" just stops here
 
         second_store = SqliteSessionStore(path)
         second = make_manager(store=second_store)
-        recovered = second.get(managed.session_id)
+        recovered = asyncio.run(second.get_async(managed.session_id))
         assert recovered.session.state.interaction_count == cut
         remaining = drive(second, recovered, oracle)
         assert prefix + remaining == expected
@@ -612,6 +683,8 @@ import json, os, signal, sys
 
 config = json.load(open(sys.argv[1]))
 
+import asyncio
+
 from repro.core import Label
 from repro.core.serialize import instance_from_dict
 from repro.service import SessionManager, SqliteSessionStore
@@ -633,7 +706,7 @@ for combo in config["combos"]:
         combo["seed"],
         None,
     )
-    managed = manager.create(spec)
+    managed = asyncio.run(manager.create_async(spec))
     asked = []
     for _ in range(config["cut"]):
         question = manager.propose_question(managed)
@@ -737,7 +810,7 @@ class TestKillTheProcess:
         for combo, report in zip(combos, reports):
             assert report["strategy"] == combo["strategy"]
             instance = by_key[(combo["omega"], combo["rows"])]
-            recovered = manager.get(report["session_id"])
+            recovered = asyncio.run(manager.get_async(report["session_id"]))
             assert (
                 recovered.session.state.interaction_count == CRASH_CUT
             ), f"{combo['strategy']} Ω={combo['omega']}"

@@ -23,6 +23,7 @@ import time
 import pytest
 
 import repro.service.app as service_app
+import repro.service.events as events_module
 from repro.core import PerfectOracle, SignatureIndex
 from repro.data import generate_tpch, tpch_workloads
 from repro.service import (
@@ -94,21 +95,25 @@ class TestEventBus:
     def test_service_feed_sees_every_topic(self):
         async def scenario():
             bus = EventBus()
-            feed = bus.subscribe(SERVICE_FEED)
+            frames = []
+            bus.service_sink = frames.append
+            bus.sink_attached(asyncio.get_running_loop())
             bus.publish("s1", "question", {"n": 1})
             bus.publish("s2", "answer", {"n": 2})
-            kinds = []
-            for _ in range(2):
-                kind, _ = await asyncio.wait_for(feed.get(), timeout=5)
-                kinds.append(kind)
+            kinds = [
+                frame.split(b"\n")[1].removeprefix(b"event: ").decode()
+                for frame in frames
+            ]
             assert kinds == ["question", "answer"]
-            feed.close()
+            bus.sink_detached()
 
         run_on_loop(scenario())
 
-    def test_drop_oldest_on_overflow(self):
+    def test_drop_oldest_on_overflow(self, monkeypatch):
+        monkeypatch.setattr(events_module, "_QUEUE_LIMIT", 2)
+
         async def scenario():
-            bus = EventBus(queue_limit=2)
+            bus = EventBus()
             sub = bus.subscribe("s1")
             for n in range(5):
                 bus.publish("s1", "question", {"n": n})
@@ -161,13 +166,14 @@ class TestEventBus:
     def test_has_subscribers_ignores_service_feed(self):
         async def scenario():
             bus = EventBus()
-            feed = bus.subscribe(SERVICE_FEED)
+            bus.service_sink = lambda frame: None
+            bus.sink_attached(asyncio.get_running_loop())
             assert not bus.has_subscribers("s1")
             sub = bus.subscribe("s1")
             assert bus.has_subscribers("s1")
             sub.close()
             assert not bus.has_subscribers("s1")
-            feed.close()
+            bus.sink_detached()
 
         run_on_loop(scenario())
 
