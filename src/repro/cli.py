@@ -482,78 +482,32 @@ def manager_from_args(args: argparse.Namespace):
     return manager_from_config(_serve_settings(args))
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    """The ``serve --workers N`` path: front router + worker fleet."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """``serve``: a solo server, or with ``--workers N`` a front router
+    over N worker processes; either way :func:`repro.service.serve`
+    runs it until SIGTERM or SIGINT, then drains it."""
     import asyncio
 
-    from .service import Fleet, FleetConfig, FleetRouter
+    from .service import Fleet, FleetConfig, FleetRouter, ServiceApp, serve
 
-    if args.store is None:
+    if args.workers == 1:
+        front = ServiceApp(manager_from_args(args))
+        banner = "repro-join service listening on {host}:{port}"
+    elif args.store is None:
         args.error(
             "--workers requires --store: the fleet's workers "
             "share sessions through the durable store's lease protocol"
         )
-    config = FleetConfig(
-        workers=args.workers, host=args.host, **_serve_settings(args)
-    )
-
-    async def run() -> None:
-        import signal as signal_module
-
-        fleet = Fleet(config)
-        await fleet.start()
-        router = FleetRouter(fleet)
-        server = await router.start(args.host, args.port)
-        sockname = server.sockets[0].getsockname()
-        print(
+    else:
+        config = FleetConfig(
+            workers=args.workers, host=args.host, **_serve_settings(args)
+        )
+        front = FleetRouter(Fleet(config))
+        banner = (
             f"fleet of {args.workers} workers serving on "
-            f"http://{sockname[0]}:{sockname[1]}",
-            flush=True,
+            "http://{host}:{port}"
         )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal_module.SIGTERM, signal_module.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        print("draining fleet", flush=True)
-        # Graceful shutdown: every worker checkpoints + demotes its
-        # sessions and releases its leases before the processes exit.
-        await router.shutdown(drain=True)
-
-    asyncio.run(run())
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service import ServiceApp, run_server
-
-    if args.workers > 1:
-        return _cmd_serve_fleet(args)
-    manager = manager_from_args(args)
-
-    async def serve() -> None:
-        import signal as signal_module
-
-        # SIGTERM takes SIGINT's path: the serving task is cancelled
-        # and the finally below drains the manager and the store.
-        asyncio.get_running_loop().add_signal_handler(
-            signal_module.SIGTERM, asyncio.current_task().cancel
-        )
-        await run_server(ServiceApp(manager), args.host, args.port)
-
-    try:
-        asyncio.run(serve())
-    except (KeyboardInterrupt, asyncio.CancelledError):
-        print("\nshutting down")
-    finally:
-        # The CLI created the manager (and through it the store), so it
-        # releases both: drain the pools, flush pending journal ops,
-        # then close the SQLite connection.
-        manager.close(wait=True)
-        if manager.store is not None:
-            manager.store.close()
+    asyncio.run(serve(front, args.host, args.port, banner))
     return 0
 
 

@@ -38,11 +38,12 @@ worker death into a clean retryable ``reconnect`` event.
 
 from .app import (
     EventStream,
+    HttpFront,
     ServiceApp,
     ServiceFeedBroadcaster,
     ServiceServer,
-    run_server,
-    start_server,
+    serve,
+    serve_connection,
 )
 from .client import ServiceClient, ServiceClientError
 from .events import (
@@ -102,6 +103,7 @@ __all__ = [
     "FleetConfig",
     "FleetRouter",
     "FleetServer",
+    "HttpFront",
     "IndexCache",
     "SERVICE_FEED",
     "Lease",
@@ -136,8 +138,8 @@ __all__ = [
     "predicate_payload",
     "progress_payload",
     "question_payload",
-    "run_server",
+    "serve",
+    "serve_connection",
     "sessions_payload",
     "sse_frame",
-    "start_server",
 ]

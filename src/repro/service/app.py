@@ -65,7 +65,19 @@ POST        ``/control/demote``             demote the listed sessions (rebalanc
 
 The router also assigns session ids itself (it must know the id to pick
 the owning worker before the create lands), passing them down via the
-internal ``x-fleet-session-id`` header on create/resume.
+internal ``x-fleet-session-id`` header on create/resume.  Only a fleet
+worker reads that header: a public-facing app mints every id itself.
+
+**One HTTP layer.**  This module holds the only copy of the HTTP/1.1
+plumbing.  :func:`serve_connection` runs every client connection of
+both fronts, :class:`ServiceApp` and the fleet router
+(:mod:`~repro.service.router`), over their ``respond`` coroutine;
+:func:`_read_head` parses requests here and worker responses in the
+router; :class:`HttpFront` binds the socket and stops it; and
+:func:`serve` is the lifecycle of every server process — the solo
+``repro-join serve``, each fleet worker and the fleet router: bind,
+print the banner, wait for SIGTERM or SIGINT, then
+``shutdown(drain=True)``.
 """
 
 from __future__ import annotations
@@ -73,9 +85,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import signal
 import threading
 import weakref
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from ..core.consistency import InconsistentSampleError
 from ..core.session import QuestionProtocolError
@@ -96,12 +109,13 @@ from .protocol import (
 )
 
 __all__ = [
+    "HttpFront",
     "ServiceApp",
     "EventStream",
     "ServiceFeedBroadcaster",
-    "start_server",
-    "run_server",
     "ServiceServer",
+    "serve",
+    "serve_connection",
 ]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -115,6 +129,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
@@ -140,14 +155,14 @@ _KEEP_ALIVE = b": keep-alive\n\n"
 
 class EventStream:
     """A streaming response: ``dispatch`` returns one of these instead
-    of a JSON payload, and the connection handler serves SSE frames
-    from the subscription until a terminal event, client disconnect,
-    or server shutdown (the connection is never reused afterwards).
+    of a JSON payload, and :meth:`serve` takes the connection over and
+    writes SSE frames until a terminal event, client disconnect, or
+    server shutdown (the connection is never reused afterwards).
 
-    ``broadcast=True`` marks a subscription-less stream served by the
-    app's :class:`ServiceFeedBroadcaster` instead of a per-socket
-    queue — used for ``GET /events/stream`` where hundreds of
-    subscribers share identical bytes."""
+    A stream with a ``feed`` is served by the app's
+    :class:`ServiceFeedBroadcaster` instead of a per-socket queue —
+    used for ``GET /events/stream`` where hundreds of subscribers share
+    identical bytes."""
 
     def __init__(
         self,
@@ -155,7 +170,7 @@ class EventStream:
         *,
         initial: list[tuple[str, bytes]] | None = None,
         close_kinds: frozenset[str] = frozenset(),
-        broadcast: bool = False,
+        feed: ServiceFeedBroadcaster | None = None,
     ):
         self.subscription = subscription
         #: ``(kind, frame)`` pairs written before any queued event — the
@@ -163,11 +178,62 @@ class EventStream:
         #: under the session lock so it is gap-free with the queue.
         self.initial = initial or []
         self.close_kinds = close_kinds
-        self.broadcast = broadcast
+        self.feed = feed
 
     def close(self) -> None:
         if self.subscription is not None:
             self.subscription.close()
+
+    async def serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve the stream down one chunked HTTP response."""
+        try:
+            writer.write(_STREAM_HEAD)
+            closing = False
+            for kind, frame in self.initial:
+                writer.write(_chunk(frame))
+                closing = closing or kind in self.close_kinds
+            if self.feed is not None:
+                await self._follow_feed(reader, writer)
+                return
+            await writer.drain()
+            while not closing:
+                try:
+                    kind, frame = await asyncio.wait_for(
+                        self.subscription.get(), timeout=_HEARTBEAT_SECONDS
+                    )
+                except asyncio.TimeoutError:
+                    frame = _KEEP_ALIVE
+                else:
+                    closing = kind in self.close_kinds
+                writer.write(_chunk(frame))
+                await writer.drain()
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
+        except OSError:
+            # The client went away; the connection loop handles server
+            # shutdown.  Either way the subscription just needs tearing
+            # down.
+            pass
+        finally:
+            self.close()
+
+    async def _follow_feed(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Hand the writer to the feed (which also owns the keep-alive)
+        and only watch for client close.  The transport keeps write
+        order, so the snapshot always precedes the first feed chunk."""
+        self.feed.register(writer)
+        try:
+            # EOF: the client closed its end, or the feed evicted it.
+            # Any bytes before that are a pipelined request on a
+            # Connection: close stream — a client bug; ignore them.
+            while await reader.read(1):
+                pass
+        finally:
+            self.feed.unregister(writer)
 
 
 class ServiceFeedBroadcaster:
@@ -284,7 +350,225 @@ class ServiceFeedBroadcaster:
                 transport.abort()
 
 
-class ServiceApp:
+# --- HTTP plumbing -----------------------------------------------------------
+
+
+_STREAM_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: text/event-stream\r\n"
+    b"Cache-Control: no-cache\r\n"
+    b"Connection: close\r\n"
+    b"Transfer-Encoding: chunked\r\n"
+    b"\r\n"
+)
+
+
+def _chunk(frame: bytes) -> bytes:
+    """One HTTP/1.1 chunk.  Exactly one SSE frame per chunk: the fleet
+    router forwards whole chunks, so frame boundaries survive proxying
+    and a worker dying mid-frame can never corrupt a client's parse."""
+    return f"{len(frame):x}\r\n".encode("ascii") + frame + b"\r\n"
+
+
+def json_response(
+    status: int, payload: dict[str, Any]
+) -> tuple[int, bytes]:
+    """``(status, JSON body bytes)``: a front's answer to every request
+    that is not a stream."""
+    return status, json.dumps(payload).encode("utf-8")
+
+
+def _response_bytes(status: int, body: bytes) -> bytes:
+    """One whole keep-alive response carrying a JSON ``body``."""
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: keep-alive\r\n"
+        f"\r\n"
+    ).encode("ascii")
+    return head + body
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[list[str], dict[str, str]]:
+    """One HTTP/1.1 message head, a request's or a response's: the start
+    line's three fields and the headers, names lower-cased.
+
+    End of stream before the start line raises
+    :class:`asyncio.IncompleteReadError`; a start line without three
+    fields raises :class:`ValueError`, as ``StreamReader`` does for an
+    over-long line."""
+    line = await reader.readline()
+    if not line:
+        raise asyncio.IncompleteReadError(b"", None)
+    fields = line.decode("latin-1").strip().split(None, 2)
+    if len(fields) != 3:
+        raise ValueError(f"malformed start line {line!r}")
+    headers: dict[str, str] = {}
+    while True:
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = raw.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return fields, headers
+
+
+async def _read_body(
+    reader: asyncio.StreamReader, headers: dict[str, str]
+) -> bytes:
+    """The ``Content-Length`` body after a head; a malformed, negative
+    or oversized length raises :class:`ValueError`."""
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        raise ValueError(
+            f"malformed Content-Length {raw_length!r}"
+        ) from None
+    if length < 0 or length > _MAX_BODY_BYTES:
+        raise ValueError(f"bad body length {length}")
+    return await reader.readexactly(length) if length else b""
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, bytes, bool, dict[str, str]]:
+    """One request: method, path, body, keep-alive, headers."""
+    (method, target, version), headers = await _read_head(reader)
+    body = await _read_body(reader, headers)
+    keep_alive = (
+        headers.get("connection", "").lower() != "close"
+        and version.upper() != "HTTP/1.0"
+    )
+    # Strip any query string; the protocol is JSON-body only.
+    path = target.split("?", 1)[0]
+    return method.upper(), path, body, keep_alive, headers
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    respond: Callable[..., Awaitable[Any]],
+) -> None:
+    """Serve HTTP/1.1 requests on one client connection until the client
+    closes it or asks to, a malformed request gets its 400, or a stream
+    takes the connection over.
+
+    ``respond(method, path, body, headers)`` answers each request with
+    ``(status, JSON body bytes)``, or with a coroutine function that is
+    handed ``(reader, writer)`` and serves the rest of the connection
+    (an SSE stream).  Cancellation is server shutdown: the connection
+    closes and the client sees a disconnect, never a half-written
+    response."""
+    try:
+        while True:
+            try:
+                method, path, body, keep_alive, headers = (
+                    await _read_request(reader)
+                )
+            except asyncio.IncompleteReadError:
+                break
+            except ValueError as exc:
+                status, error = json_response(
+                    400, {"error": "bad_request", "message": str(exc)}
+                )
+                writer.write(_response_bytes(status, error))
+                await writer.drain()
+                break
+            try:
+                response = await respond(method, path, body, headers)
+            except Exception as exc:  # noqa: BLE001 - last-resort barrier
+                response = json_response(
+                    500, {"error": "internal_error", "message": str(exc)}
+                )
+            if callable(response):
+                await response(reader, writer)
+                break
+            writer.write(_response_bytes(*response))
+            await writer.drain()
+            if not keep_alive:
+                break
+    except (ConnectionError, asyncio.CancelledError):
+        # The client went away, or the server is shutting down.  The
+        # cancellation ends here: Python 3.11's stream server reads
+        # ``exception()`` of every connection task it started, which
+        # raises (and is logged as an error) for a cancelled one.
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, asyncio.CancelledError):
+            # CancelledError: shutdown cancelled the task again mid
+            # close — the transport is going away with it.
+            pass
+
+
+class HttpFront:
+    """The server half :class:`ServiceApp` and the fleet router share.
+
+    :meth:`start` binds a socket whose every connection runs
+    :func:`serve_connection` over the front's ``respond`` coroutine,
+    and :meth:`_stop_serving` closes it and cancels every open
+    connection, keep-alive or stream.  A front also defines
+    ``shutdown(drain)``, which :func:`serve` awaits on SIGTERM or
+    SIGINT."""
+
+    _server: asyncio.base_events.Server | None = None
+
+    async def start(
+        self, host: str = "127.0.0.1", port: int = 0
+    ) -> asyncio.base_events.Server:
+        """Bind and start serving; ``port=0`` picks a free port."""
+        self._connections: set[asyncio.Task] = set()
+        self._server = await asyncio.start_server(
+            self._accept, host, port
+        )
+        return self._server
+
+    async def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+        await serve_connection(reader, writer, self.respond)
+
+    async def _stop_serving(self) -> None:
+        """Stop accepting and end every open connection (cancelled
+        before the wait, which on Python 3.12 waits for them)."""
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.close()
+        for task in list(self._connections):
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await server.wait_closed()
+
+
+async def serve(
+    front: HttpFront, host: str, port: int, banner: str
+) -> None:
+    """Run ``front`` as this process's server: bind, print ``banner``
+    formatted with the bound ``host`` and ``port`` (how a parent process
+    learns the port ``port=0`` picked), serve until SIGTERM or SIGINT,
+    then ``front.shutdown(drain=True)``."""
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, stop.set)
+    server = await front.start(host, port)
+    bound = server.sockets[0].getsockname()
+    print(banner.format(host=bound[0], port=bound[1]), flush=True)
+    await stop.wait()
+    await front.shutdown(drain=True)
+
+
+class ServiceApp(HttpFront):
     """Routes (method, path, JSON body) triples onto the manager."""
 
     def __init__(
@@ -302,6 +586,53 @@ class ServiceApp:
         #: socket; the bus invokes ``enqueue`` once per published event.
         self.service_feed = ServiceFeedBroadcaster(self.manager.events)
         self.manager.events.service_sink = self.service_feed.enqueue
+
+    async def respond(
+        self, method: str, path: str, body: bytes, headers: dict[str, str]
+    ) -> tuple[int, bytes] | Callable[..., Awaitable[None]]:
+        """Answer one HTTP request: ``(status, JSON body bytes)``, or an
+        SSE stream's :meth:`EventStream.serve`, which takes the
+        connection over."""
+        payload = None
+        if body:
+            try:
+                payload = json.loads(body)
+            except ValueError as exc:
+                return json_response(
+                    400,
+                    {
+                        "error": "bad_request",
+                        "message": f"invalid JSON body: {exc}",
+                    },
+                )
+        status, response = await self.dispatch(
+            method, path, payload, headers
+        )
+        if isinstance(response, EventStream):
+            return response.serve
+        return json_response(status, response)
+
+    async def shutdown(self, drain: bool = False) -> None:
+        """Stop serving, then release the manager's pools.
+
+        ``drain`` is the exit of a server process (:func:`serve` on
+        SIGTERM or SIGINT): every durable session is first demoted and
+        its journal tail and lease release committed, and the store is
+        closed last, so a successor process resumes every session."""
+        await self._stop_serving()
+        if drain:
+            await self._drain()
+        self.manager.close(wait=True)
+        if drain and self.manager.store is not None:
+            self.manager.store.close()
+
+    async def _drain(self) -> list[str]:
+        """Demote every durable session, then wait off-loop until the
+        writer thread has committed each one's journal tail (and its
+        trailing lease release); returns the demoted ids."""
+        demoted = self.manager.demote_all()
+        await self.manager.offload(self.manager.flush_store)
+        return demoted
 
     async def dispatch(
         self,
@@ -413,11 +744,13 @@ class ServiceApp:
                 return 200, self.manager.snapshot(managed)
         raise NotFound(f"no route {path!r}")
 
-    @staticmethod
-    def _fleet_session_id(headers: dict[str, str] | None) -> str | None:
-        """The router-assigned session id, when this request came
-        through the fleet front (internal header, absent otherwise)."""
-        if not headers:
+    def _fleet_session_id(
+        self, headers: dict[str, str] | None
+    ) -> str | None:
+        """The router-minted session id of a create or resume on a fleet
+        worker.  A public-facing app ignores the header: only the
+        router, which forwards no client header, may choose an id."""
+        if not self.control or not headers:
             return None
         return headers.get("x-fleet-session-id") or None
 
@@ -439,12 +772,9 @@ class ServiceApp:
         if route == "drain":
             if method != "POST":
                 raise BadRequest(f"{method} not allowed on drain")
-            demoted = self.manager.demote_all()
-            # Durability barrier off-loop: every demoted session's
-            # journal tail (and its trailing lease release) commits
-            # before the router is told the drain finished.
-            await self.manager.offload(self.manager.flush_store)
-            return 200, {"demoted": demoted}
+            # The router hears that the drain finished only once every
+            # demoted session is durable.
+            return 200, {"demoted": await self._drain()}
         if route == "demote":
             if method != "POST":
                 raise BadRequest(f"{method} not allowed on demote")
@@ -633,7 +963,7 @@ class ServiceApp:
         """``GET /events/stream``: the service-wide feed, opening with a
         dashboard snapshot so a monitoring client starts consistent.
 
-        Served in broadcast mode — every subscriber shares the
+        Served from the feed — every subscriber shares the
         :class:`ServiceFeedBroadcaster` instead of owning a queue and a
         pump coroutine, so fan-out cost per event is one buffered
         frame, not one wake-up per socket.  (Events published between
@@ -648,266 +978,14 @@ class ServiceApp:
             "dashboard": self.manager.dashboard(),
         }
         return EventStream(
-            initial=[("hello", sse_frame(hello))], broadcast=True
+            initial=[("hello", sse_frame(hello))], feed=self.service_feed
         )
-
-
-# --- HTTP plumbing -----------------------------------------------------------
-
-
-_STREAM_HEAD = (
-    b"HTTP/1.1 200 OK\r\n"
-    b"Content-Type: text/event-stream\r\n"
-    b"Cache-Control: no-cache\r\n"
-    b"Connection: close\r\n"
-    b"Transfer-Encoding: chunked\r\n"
-    b"\r\n"
-)
-
-
-def _chunk(frame: bytes) -> bytes:
-    """One HTTP/1.1 chunk.  Exactly one SSE frame per chunk: the fleet
-    router forwards whole chunks, so frame boundaries survive proxying
-    and a worker dying mid-frame can never corrupt a client's parse."""
-    return f"{len(frame):x}\r\n".encode("ascii") + frame + b"\r\n"
-
-
-async def _serve_stream(
-    writer: asyncio.StreamWriter, stream: EventStream
-) -> None:
-    """Pump an :class:`EventStream` down one chunked HTTP response."""
-    subscription = stream.subscription
-    try:
-        writer.write(_STREAM_HEAD)
-        closing = False
-        for kind, frame in stream.initial:
-            writer.write(_chunk(frame))
-            if kind in stream.close_kinds:
-                closing = True
-        await writer.drain()
-        while not closing:
-            try:
-                kind, frame = await asyncio.wait_for(
-                    subscription.get(), timeout=_HEARTBEAT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                writer.write(_chunk(_KEEP_ALIVE))
-                await writer.drain()
-                continue
-            writer.write(_chunk(frame))
-            if kind in stream.close_kinds:
-                closing = True
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-    except (
-        ConnectionResetError,
-        BrokenPipeError,
-        OSError,
-        asyncio.CancelledError,
-    ):
-        # Client went away or the server is shutting down — either way
-        # the subscription just needs tearing down.
-        pass
-    finally:
-        stream.close()
-
-
-async def _serve_broadcast(
-    app: ServiceApp,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    stream: EventStream,
-) -> None:
-    """Serve a broadcast-mode :class:`EventStream`: write the head and
-    snapshot, then hand the writer to the
-    :class:`ServiceFeedBroadcaster` (which also owns the keep-alive) —
-    this coroutine only watches for client close.  The transport keeps
-    write order, so the snapshot always precedes the first feed chunk."""
-    broadcaster = app.service_feed
-    writer.write(_STREAM_HEAD)
-    for _kind, frame in stream.initial:
-        writer.write(_chunk(frame))
-    broadcaster.register(writer)
-    try:
-        # EOF: the client closed its end, or the feed evicted it.  Any
-        # bytes before that are a pipelined request on a Connection:
-        # close stream — a client bug; ignore them.
-        while await reader.read(1):
-            pass
-    except (
-        ConnectionResetError,
-        BrokenPipeError,
-        OSError,
-        asyncio.CancelledError,
-    ):
-        pass
-    finally:
-        broadcaster.unregister(writer)
-
-
-def _response_bytes(status: int, payload: dict[str, Any]) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: keep-alive\r\n"
-        f"\r\n"
-    ).encode("ascii")
-    return head + body
-
-
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, bytes, bool, dict[str, str]] | None:
-    """Parse one request; None at end-of-stream before a request line."""
-    line = await reader.readline()
-    if not line:
-        return None
-    try:
-        method, target, version = line.decode("ascii").split()
-    except ValueError:
-        raise BadRequest(f"malformed request line {line!r}")
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    raw_length = headers.get("content-length", "0") or "0"
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise BadRequest(f"malformed Content-Length {raw_length!r}")
-    if length < 0 or length > _MAX_BODY_BYTES:
-        raise BadRequest(f"bad request body length {length}")
-    body = await reader.readexactly(length) if length else b""
-    keep_alive = (
-        headers.get("connection", "").lower() != "close"
-        and version.upper() != "HTTP/1.0"
-    )
-    # Strip any query string; the protocol is JSON-body only.
-    path = target.split("?", 1)[0]
-    return method.upper(), path, body, keep_alive, headers
-
-
-async def _handle_connection(
-    app: ServiceApp,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    try:
-        while True:
-            try:
-                request = await _read_request(reader)
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionResetError,
-            ):
-                break
-            except asyncio.CancelledError:
-                # Server shutdown while the connection idled between
-                # requests — close quietly.
-                break
-            except ValueError as exc:
-                # StreamReader raises ValueError for over-limit lines.
-                writer.write(
-                    _response_bytes(
-                        400, {"error": "bad_request", "message": str(exc)}
-                    )
-                )
-                await writer.drain()
-                break
-            except BadRequest as exc:
-                writer.write(
-                    _response_bytes(
-                        400, {"error": "bad_request", "message": str(exc)}
-                    )
-                )
-                await writer.drain()
-                break
-            if request is None:
-                break
-            method, path, body, keep_alive, headers = request
-            try:
-                if body:
-                    try:
-                        payload = json.loads(body)
-                    except json.JSONDecodeError as exc:
-                        status, response = 400, {
-                            "error": "bad_request",
-                            "message": f"invalid JSON body: {exc}",
-                        }
-                    else:
-                        status, response = await app.dispatch(
-                            method, path, payload, headers
-                        )
-                else:
-                    status, response = await app.dispatch(
-                        method, path, None, headers
-                    )
-            except asyncio.CancelledError:
-                # Server shutdown while a handler awaited off-loop work
-                # (e.g. an index build) — drop the connection quietly;
-                # the client sees a disconnect, not a half-response.
-                break
-            if isinstance(response, EventStream):
-                # Streaming upgrade: this connection now belongs to the
-                # stream until it ends; never reused for requests.
-                if response.broadcast:
-                    await _serve_broadcast(app, reader, writer, response)
-                else:
-                    await _serve_stream(writer, response)
-                break
-            writer.write(_response_bytes(status, response))
-            await writer.drain()
-            if not keep_alive:
-                break
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.CancelledError,
-        ):
-            # CancelledError: the loop is tearing the task down mid
-            # close (worker drain) — the transport is going away with
-            # it, so there is nothing left to wait for.
-            pass
-
-
-async def start_server(
-    app: ServiceApp,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> asyncio.base_events.Server:
-    """Bind and start serving; ``port=0`` picks a free port."""
-    return await asyncio.start_server(
-        lambda r, w: _handle_connection(app, r, w), host, port
-    )
-
-
-async def run_server(
-    app: ServiceApp, host: str = "127.0.0.1", port: int = 8642
-) -> None:
-    """Serve until cancelled (the CLI entry point's coroutine)."""
-    server = await start_server(app, host, port)
-    addresses = ", ".join(
-        f"{sock.getsockname()[0]}:{sock.getsockname()[1]}"
-        for sock in server.sockets
-    )
-    print(f"repro-join service listening on {addresses}")
-    async with server:
-        await server.serve_forever()
 
 
 class ServiceServer:
     """A server on a background thread — for tests, benchmarks, and
-    examples that need a live endpoint inside one process.
+    examples that need a live endpoint inside one process.  It starts
+    and stops the app the way :func:`serve` does, without the drain.
 
     Usage::
 
@@ -934,7 +1012,7 @@ class ServiceServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
-        self._server: asyncio.base_events.Server | None = None
+        self._stop: asyncio.Event | None = None
 
     @property
     def manager(self) -> SessionManager:
@@ -960,29 +1038,20 @@ class ServiceServer:
         asyncio.set_event_loop(loop)
 
         async def main() -> None:
-            host, port = self._requested
-            self._server = await start_server(self.app, host, port)
-            sockname = self._server.sockets[0].getsockname()
-            self.host, self.port = sockname[0], sockname[1]
+            server = await self.app.start(*self._requested)
+            self.host, self.port = server.sockets[0].getsockname()[:2]
+            self._stop = asyncio.Event()
             self._started.set()
-            await self._server.serve_forever()
+            await self._stop.wait()
+            await self.app.shutdown()
 
         try:
             loop.run_until_complete(main())
-        except asyncio.CancelledError:
-            pass
         finally:
-            # Drain the build pools while the loop object still exists:
-            # an in-flight build finishing after loop.close() would fire
-            # call_soon_threadsafe into a closed loop from its worker
-            # thread.  Here the loop is merely stopped, so the late
-            # callback is accepted and harmlessly discarded by close().
-            self.app.manager.close(wait=True)
-            # Connection tasks legitimately swallow the shutdown cancel
-            # (to tear their stream down cleanly) and then park once
-            # more on ``writer.wait_closed()``; cancel again and let
-            # them finish, or they die un-awaited when the loop closes
-            # ("Task was destroyed but it is pending!" noise).
+            # Tasks the manager started (rehydrations, index builds)
+            # end with the loop: cancel them and let them finish, or
+            # they die un-awaited when the loop closes ("Task was
+            # destroyed but it is pending!" noise).
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()
@@ -998,16 +1067,10 @@ class ServiceServer:
         loop, thread = self._loop, self._thread
         if loop is None or thread is None:
             return
-
-        def _shutdown() -> None:
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
-
-        loop.call_soon_threadsafe(_shutdown)
+        loop.call_soon_threadsafe(self._stop.set)
         thread.join(timeout=30)
         self._loop = None
         self._thread = None
-        self.manager.close()
         ServiceServer._live.discard(self)
 
     def __enter__(self) -> "ServiceServer":

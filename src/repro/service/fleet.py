@@ -31,11 +31,12 @@ This module is both sides of the process boundary:
   index plane and the shared plan tier): a solo server has no sibling
   to share with.
 * ``python -m repro.service.fleet_worker '<json-config>'`` is the
-  **worker** entry point: build the manager over the shared store,
-  serve with the
-  control routes enabled, announce ``FLEET_WORKER_READY port=N`` on
-  stdout, and on SIGTERM drain gracefully (demote every durable
-  session, flush, release every lease) before exiting.
+  **worker** entry point: build the manager over the shared store and
+  run it through :func:`~repro.service.app.serve`, the lifecycle every
+  server process shares, with the control routes enabled: announce
+  ``FLEET_WORKER_READY port=N`` on stdout, and on SIGTERM drain
+  gracefully (demote every durable session, flush its journal tail,
+  release every lease) before exiting.
 * :class:`Fleet` is the **supervisor** the router embeds: spawn the
   worker subprocesses, watch them, respawn dead slots.
 * :class:`FleetServer` wraps router + fleet on a background thread for
@@ -49,7 +50,6 @@ import asyncio
 import json
 import os
 import re
-import signal
 import sys
 import threading
 import time
@@ -161,37 +161,6 @@ def manager_from_config(config: dict[str, Any]):
     )
 
 
-async def _serve_worker(config: dict[str, Any]) -> None:
-    from .app import ServiceApp, start_server
-
-    manager = manager_from_config(config)
-    app = ServiceApp(manager, control=True)
-    server = await start_server(app, config.get("host", "127.0.0.1"), 0)
-    port = server.sockets[0].getsockname()[1]
-    # The readiness handshake the supervisor blocks on; port 0 above
-    # means the OS picked it, so this line is how the router learns it.
-    print(f"FLEET_WORKER_READY port={port}", flush=True)
-
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    await stop.wait()
-
-    # Graceful drain: stop accepting, checkpoint+demote every durable
-    # session (each demote queues a trailing lease release), then block
-    # until the writer thread has committed it all.  A SIGKILL skips
-    # all of this — which is exactly what the lease takeover path is
-    # for.
-    server.close()
-    await server.wait_closed()
-    manager.demote_all()
-    await loop.run_in_executor(None, manager.flush_store)
-    manager.close(wait=True)
-    if manager.store is not None:
-        manager.store.close()
-
-
 def worker_main(argv: list[str]) -> int:
     """``python -m repro.service.fleet_worker <json-config>`` body."""
     if len(argv) != 1:
@@ -200,8 +169,19 @@ def worker_main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
+    from .app import ServiceApp, serve
+
     config = json.loads(argv[0])
-    asyncio.run(_serve_worker(config))
+    app = ServiceApp(manager_from_config(config), control=True)
+    # The READY line is the handshake the supervisor blocks on: port 0
+    # means the OS picked the port, and this line is how the router
+    # learns it.  On SIGTERM the worker drains: it demotes every
+    # durable session (journal tail flushed, lease released) before it
+    # exits, and a SIGKILL skips all of that, which is what the lease
+    # takeover path is for.
+    asyncio.run(
+        serve(app, config["host"], 0, "FLEET_WORKER_READY port={port}")
+    )
     return 0
 
 
@@ -438,7 +418,6 @@ class FleetServer:
         async def main() -> None:
             try:
                 self.fleet = Fleet(self.config)
-                await self.fleet.start()
                 self.router = FleetRouter(self.fleet)
                 server = await self.router.start(self.config.host, 0)
                 sockname = server.sockets[0].getsockname()

@@ -368,12 +368,14 @@ class SessionManager:
         self._sessions: dict[str, ManagedSession] = {}
         self._expired_total = 0
         #: Durable-store state: ids this process demoted (and has not
-        #: rehydrated since), the flush futures their rehydration must
-        #: wait on, and the single-flight map of in-progress
+        #: rehydrated since), the writer-thread futures (a demotion's
+        #: flush, a delete) a load of the same id must wait on until
+        #: they finish, and the single-flight map of in-progress
         #: rehydrations (event-loop only, like the index cache's
         #: pending builds).
         self._demoted: set[str] = set()
         self._demote_flushes: dict[str, Future] = {}
+        self._park_lock = threading.Lock()
         self._rehydrating: dict[str, asyncio.Future] = {}
         self._rehydrate_tasks: set[asyncio.Task] = set()
         #: Ids deleted while their rehydration was in flight: the
@@ -383,9 +385,23 @@ class SessionManager:
         self._demotions_total = 0
         self._rehydrated_total = 0
         self._store_errors = 0
-        self._store_executor: ThreadPoolExecutor | None = None
-        self._build_executor: ThreadPoolExecutor | None = None
-        self._offload_executor: ThreadPoolExecutor | None = None
+        #: The three pools start no thread before their first job, and
+        #: once :meth:`close` has shut them down a submit raises
+        #: ``RuntimeError``: a closed manager stays closed.  Index
+        #: builds, replays and speculation run on the build pool.  The
+        #: store pool is the single writer thread every store write
+        #: runs on, so one session's flushes stay ordered, the store
+        #: sees one writer, and a long cold build never delays
+        #: durability.
+        self._build_executor = ThreadPoolExecutor(
+            max_workers=build_workers, thread_name_prefix="index-build"
+        )
+        self._store_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="session-store"
+        )
+        self._offload_executor = ThreadPoolExecutor(
+            max_workers=2, thread_name_prefix="create-offload"
+        )
         self._spec_lock = threading.Lock()
         self._spec_inflight = 0
         self._spec_submitted = 0
@@ -400,27 +416,6 @@ class SessionManager:
         #: and the incrementally maintained dashboard aggregates.
         self.events = EventBus()
 
-    def _executor(self) -> ThreadPoolExecutor:
-        """The worker pool index builds run on, off the event loop."""
-        if self._build_executor is None:
-            self._build_executor = ThreadPoolExecutor(
-                max_workers=self.build_workers,
-                thread_name_prefix="index-build",
-            )
-        return self._build_executor
-
-    def _store_pool(self) -> ThreadPoolExecutor:
-        """The dedicated single-thread writer all store flushes run on.
-
-        One thread, so flushes for one session are naturally ordered
-        and the store backend sees a single writer; it is separate from
-        the build pool so a long cold build never delays durability."""
-        if self._store_executor is None:
-            self._store_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="session-store"
-            )
-        return self._store_executor
-
     def offload(self, fn, *args):
         """Awaitable running CPU-bound ``fn(*args)`` off the event loop.
 
@@ -432,10 +427,6 @@ class SessionManager:
         Exceptions (e.g. ``BadRequest`` from validation) propagate to
         the awaiter unchanged.
         """
-        if self._offload_executor is None:
-            self._offload_executor = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="create-offload"
-            )
         return asyncio.get_running_loop().run_in_executor(
             self._offload_executor, fn, *args
         )
@@ -447,11 +438,11 @@ class SessionManager:
         in-flight speculation yields to it like it yields to builds."""
         self._yield_speculation_to_build()
         return asyncio.get_running_loop().run_in_executor(
-            self._executor(), fn, *args
+            self._build_executor, fn, *args
         )
 
     def close(self, wait: bool = False) -> None:
-        """Release the worker pools.
+        """Release the worker pools; the manager takes no work after.
 
         Queued-but-not-started jobs are cancelled either way; a job
         already executing always runs to completion.  ``wait=True``
@@ -475,14 +466,9 @@ class SessionManager:
             # unblocks any branch worker waiting on a batched kernel
             # (its router falls back per-session or bails on abort).
             self._batcher.close(wait=wait)
-        for attr in ("_build_executor", "_offload_executor"):
-            executor = getattr(self, attr)
-            if executor is not None:
-                executor.shutdown(wait=wait, cancel_futures=True)
-                setattr(self, attr, None)
-        if self._store_executor is not None:
-            self._store_executor.shutdown(wait=wait, cancel_futures=False)
-            self._store_executor = None
+        self._build_executor.shutdown(wait=wait, cancel_futures=True)
+        self._offload_executor.shutdown(wait=wait, cancel_futures=True)
+        self._store_executor.shutdown(wait=wait, cancel_futures=False)
         # After the build pool: no in-flight build can race the plane's
         # registry teardown.  Releases this worker's shared-segment refs
         # and publish leases so siblings (or the reaper) can reclaim.
@@ -546,7 +532,7 @@ class SessionManager:
             self._enqueue_store_op(managed, ("release",))
         self._kick_flush(managed)
         if managed.store_flush_future is not None:
-            self._demote_flushes[session_id] = managed.store_flush_future
+            self._park(session_id, managed.store_flush_future)
         self._demoted.add(session_id)
         self._demotions_total += 1
         self._publish_lifecycle(managed, "session_demoted")
@@ -722,7 +708,7 @@ class SessionManager:
         runs on the manager's worker pool (single-flight per key), so
         the event loop keeps serving other sessions meanwhile."""
         cache = self.index_cache
-        executor = self._executor()
+        executor = self._build_executor
         if instance is None and "builtin" in spec:
             key = "builtin:" + json.dumps(
                 spec["builtin"], sort_keys=True, default=str
@@ -1224,7 +1210,7 @@ class SessionManager:
             node = _SpeculativeBranch(depth=depth)
             twin = session.fork()
             try:
-                node.future = self._executor().submit(
+                node.future = self._build_executor.submit(
                     self._speculate_branch,
                     twin,
                     question_id,
@@ -1412,9 +1398,22 @@ class SessionManager:
             # Re-park the late answer's flush so the next rehydration
             # waits it out instead of loading a journal missing an
             # acknowledged answer.
-            self._demote_flushes[managed.session_id] = (
-                managed.store_flush_future
-            )
+            self._park(managed.session_id, managed.store_flush_future)
+
+    def _park(self, session_id: str, future: Future) -> None:
+        """Make the next store load of ``session_id`` wait for a
+        writer-thread ``future`` (a demotion's flush, a delete) until
+        it is done; the entry drops itself then, so a session never
+        touched again keeps none."""
+        with self._park_lock:
+            self._demote_flushes[session_id] = future
+
+        def unpark(done: Future) -> None:
+            with self._park_lock:
+                if self._demote_flushes.get(session_id) is done:
+                    del self._demote_flushes[session_id]
+
+        future.add_done_callback(unpark)
 
     def _enqueue_store_op(
         self, managed: ManagedSession, op: tuple
@@ -1430,7 +1429,7 @@ class SessionManager:
             if managed.store_flushing or not managed.store_ops:
                 return
             managed.store_flushing = True
-        managed.store_flush_future = self._store_pool().submit(
+        managed.store_flush_future = self._store_executor.submit(
             self._drain_store_ops, managed
         )
 
@@ -1570,16 +1569,16 @@ class SessionManager:
             self._kick_flush(managed)
             if managed.store_flush_future is not None:
                 futures.append(managed.store_flush_future)
-        # snapshot: a concurrent rehydration's _load_stored pops
-        # entries from a worker thread while we iterate
+        # snapshot: parked futures drop their entries from the writer
+        # thread as they finish
         futures.extend(list(self._demote_flushes.values()))
         for future in futures:
             future.result()
 
     def _load_stored(self, session_id: str) -> StoredSession | None:
         """Fetch a session's recoverable state (worker thread), first
-        waiting out any in-flight demotion flush for the same id so the
-        journal tail is complete before it is read.
+        waiting out any in-flight demotion flush or delete of the same
+        id, so the load sees the complete journal tail, or no row.
 
         Under leasing the lease is acquired *before* the load: from the
         moment it is granted, any late flush from the previous owner is
@@ -1588,9 +1587,9 @@ class SessionManager:
         alive) is waited on briefly — the takeover window after a
         worker SIGKILL — and then refused with 409 rather than served
         from a contended copy."""
-        flush = self._demote_flushes.pop(session_id, None)
-        if flush is not None:
-            flush.result()
+        parked = self._demote_flushes.get(session_id)
+        if parked is not None:
+            parked.result()
         if self._leasing:
             if session_id not in self.store:
                 return None
@@ -1774,9 +1773,14 @@ class SessionManager:
         )
 
     def _forget_stored(self, session_id: str) -> None:
+        """Queue the store delete behind any in-flight flush (single
+        writer, FIFO) and park it, so a lookup right after the DELETE
+        cannot load the row before it is gone."""
         self._demoted.discard(session_id)
-        self._demote_flushes.pop(session_id, None)
-        self._store_pool().submit(self.store.delete, session_id)
+        self._park(
+            session_id,
+            self._store_executor.submit(self.store.delete, session_id),
+        )
 
     def list_sessions(self) -> list[ManagedSession]:
         """All live sessions, oldest first."""

@@ -35,34 +35,51 @@ mid-respawn), the router picks a live survivor, records the *override*
 session from the shared store behind the lease takeover: it waits out
 the dead owner's lease TTL, bumps the fencing epoch, and replays the
 checkpoint + journal tail bit-for-bit.  A request is only re-sent when
-that is provably safe: the bytes never reached a worker (connect
+that is provably safe: no attempt wrote it (every connect was
 refused), or the method is an idempotent GET — a mutating request that
 died mid-flight is answered 503 and left to the client.
 
 **Rebalance.**  The supervisor respawns the dead slot; once it is back,
 the router asks each survivor to ``/control/demote`` the sessions it
-was covering (checkpoint + flush + lease release) and clears the
-overrides — the next touch rehydrates each session on its home slot.
+was covering (flush the journal tail + release the lease; a demote
+writes no checkpoint) and clears the overrides — the next touch
+rehydrates each session on its home slot from its last checkpoint and
+journal tail.
 
-**Drain.**  ``shutdown(drain=True)`` (the CLI's SIGTERM path) stops
-accepting, tells every live worker to ``/control/drain`` — demoting
-every durable session and releasing every lease — and only then
-terminates the fleet, so a redeploy loses nothing and leaves no lease
-for a successor fleet to wait out.
+**Drain.**  ``shutdown(drain=True)`` (:func:`~repro.service.app.serve`
+on SIGTERM or SIGINT) stops accepting, tells every live worker to
+``/control/drain`` — demoting every durable session and releasing
+every lease — and only then terminates the fleet, so a redeploy loses
+nothing and leaves no lease for a successor fleet to wait out.
+
+**HTTP.**  The router is an :class:`~repro.service.app.HttpFront`:
+its client connections run the app module's connection loop over
+:meth:`FleetRouter.respond`, and it parses worker responses with the
+same head reader, so the fleet and a solo server speak byte-identical
+HTTP.  :meth:`FleetRouter.start` spawns the workers before it binds,
+and :meth:`FleetRouter.shutdown` terminates them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import uuid
 import zlib
 from typing import Any
 
-from .app import _STREAM_HEAD, _chunk, _read_request, _response_bytes
+from .app import (
+    _STREAM_HEAD,
+    HttpFront,
+    _chunk,
+    _read_body,
+    _read_head,
+    _response_bytes,
+    json_response,
+)
 from .events import SERVICE_FEED, sse_frame
 from .fleet import Fleet, WorkerHandle
-from .protocol import BadRequest
 
 __all__ = ["FleetRouter", "WorkerUnavailable"]
 
@@ -90,7 +107,7 @@ class WorkerUnavailable(Exception):
         self.sent = sent
 
 
-class FleetRouter:
+class FleetRouter(HttpFront):
     """Route public requests onto the fleet's worker processes."""
 
     def __init__(self, fleet: Fleet):
@@ -103,10 +120,6 @@ class FleetRouter:
         #: generation so a respawned slot never inherits sockets to its
         #: dead predecessor.
         self._pools: dict[tuple[int, int], list[tuple]] = {}
-        self._server: asyncio.base_events.Server | None = None
-        #: Live client-connection tasks, cancelled on shutdown so a
-        #: keep-alive connection can't outlive the event loop.
-        self._connections: set[asyncio.Task] = set()
         self.proxied_total = 0
         self.failovers_total = 0
         self.rebalanced_total = 0
@@ -117,15 +130,23 @@ class FleetRouter:
     def slot_of(self, session_id: str) -> int:
         return zlib.crc32(session_id.encode("utf-8")) % self.fleet.size
 
-    def _pick_live(self, exclude: int | None = None) -> WorkerHandle | None:
-        """A live worker, preferring slots other than ``exclude``;
-        deterministic order so one dead slot's sessions all land on the
-        same survivor (their rehydrations share its index cache)."""
+    def _fail_over(
+        self, session_id: str, dead_slot: int
+    ) -> WorkerHandle | None:
+        """Cover ``session_id`` on a live worker other than
+        ``dead_slot``: record the override and count the failover; None
+        when no worker is alive.  The order is deterministic, so one
+        dead slot's sessions all land on the same survivor (their
+        rehydrations share its index cache)."""
         handles = self.fleet.live_handles()
-        for handle in handles:
-            if handle.slot != exclude:
-                return handle
-        return handles[0] if handles else None
+        survivor = next(
+            (h for h in handles if h.slot != dead_slot),
+            handles[0] if handles else None,
+        )
+        if survivor is not None:
+            self.overrides[session_id] = survivor.slot
+            self.failovers_total += 1
+        return survivor
 
     def _home_handle(
         self, session_id: str
@@ -142,6 +163,9 @@ class FleetRouter:
 
     # --- worker-side HTTP ----------------------------------------------------
 
+    def _connect(self, handle: WorkerHandle):
+        return asyncio.open_connection(self.fleet.config.host, handle.port)
+
     async def _checkout(self, handle: WorkerHandle):
         pool = self._pools.get((handle.slot, handle.generation))
         while pool:
@@ -149,9 +173,7 @@ class FleetRouter:
             if not writer.is_closing():
                 return reader, writer
             writer.close()
-        return await asyncio.open_connection(
-            self.fleet.config.host, handle.port
-        )
+        return await self._connect(handle)
 
     def _checkin(self, handle: WorkerHandle, reader, writer) -> None:
         key = (handle.slot, handle.generation)
@@ -161,6 +183,23 @@ class FleetRouter:
         else:
             writer.close()
 
+    def _request_bytes(
+        self,
+        handle: WorkerHandle,
+        method: str,
+        path: str,
+        body: bytes,
+        headers: dict[str, str],
+    ) -> bytes:
+        lines = [
+            f"{method} {path} HTTP/1.1",
+            f"Host: {self.fleet.config.host}:{handle.port}",
+            f"Content-Length: {len(body)}",
+            "Content-Type: application/json",
+            *(f"{name}: {value}" for name, value in headers.items()),
+        ]
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+
     async def proxy(
         self,
         handle: WorkerHandle,
@@ -169,90 +208,43 @@ class FleetRouter:
         body: bytes,
         extra_headers: dict[str, str] | None = None,
     ) -> tuple[int, bytes]:
-        """One raw round-trip against one worker (keep-alive pooled)."""
-        fresh = False
-        try:
-            reader, writer = await self._checkout(handle)
-        except OSError as exc:
-            raise WorkerUnavailable(
-                handle.slot, f"connect failed: {exc}", sent=False
-            ) from exc
-        try:
-            head = [
-                f"{method} {path} HTTP/1.1",
-                f"Host: {self.fleet.config.host}:{handle.port}",
-                f"Content-Length: {len(body)}",
-                "Content-Type: application/json",
-                "Connection: keep-alive",
-            ]
-            for name, value in (extra_headers or {}).items():
-                head.append(f"{name}: {value}")
-            writer.write(
-                ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
-            )
-            await writer.drain()
-            status, response_body = await self._read_worker_response(
-                reader
-            )
-        except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
-            writer.close()
-            if not fresh:
-                # A pooled keep-alive socket can be stale (worker
-                # restarted, idle timeout): retry once on a fresh
-                # connection before declaring the worker gone.
-                try:
-                    reader, writer = await asyncio.open_connection(
-                        self.fleet.config.host, handle.port
-                    )
-                except OSError as exc2:
-                    raise WorkerUnavailable(
-                        handle.slot,
-                        f"connect failed: {exc2}",
-                        sent=False,
-                    ) from exc2
-                fresh = True
-                try:
-                    writer.write(
-                        ("\r\n".join(head) + "\r\n\r\n").encode("ascii")
-                        + body
-                    )
-                    await writer.drain()
-                    status, response_body = (
-                        await self._read_worker_response(reader)
-                    )
-                except (
-                    OSError,
-                    asyncio.IncompleteReadError,
-                    ValueError,
-                ) as exc3:
-                    writer.close()
-                    raise WorkerUnavailable(
-                        handle.slot, f"request failed: {exc3}", sent=True
-                    ) from exc3
-            else:
-                raise WorkerUnavailable(
-                    handle.slot, f"request failed: {exc}", sent=True
-                ) from exc
-        self._checkin(handle, reader, writer)
-        self.proxied_total += 1
-        return status, response_body
+        """One raw round-trip against one worker (keep-alive pooled).
 
-    @staticmethod
-    async def _read_worker_response(reader) -> tuple[int, bytes]:
-        line = await reader.readline()
-        if not line:
-            raise asyncio.IncompleteReadError(b"", None)
-        status = int(line.split()[1])
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
-        return status, body
+        Two attempts: a pooled socket, which can be stale (its worker
+        restarted, or closed its idle end), then a fresh connection.
+        Once either attempt has written the request, the worker may
+        have processed it, so a failure says ``sent=True``."""
+        request = self._request_bytes(
+            handle,
+            method,
+            path,
+            body,
+            {"Connection": "keep-alive", **(extra_headers or {})},
+        )
+        sent = False
+        for connect in (self._checkout, self._connect):
+            try:
+                reader, writer = await connect(handle)
+            except OSError as exc:
+                raise WorkerUnavailable(
+                    handle.slot, f"connect failed: {exc}", sent=sent
+                ) from exc
+            try:
+                writer.write(request)
+                sent = True
+                await writer.drain()
+                (_, status, _), headers = await _read_head(reader)
+                response = (int(status), await _read_body(reader, headers))
+            except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
+                writer.close()
+                failure = exc
+                continue
+            self._checkin(handle, reader, writer)
+            self.proxied_total += 1
+            return response
+        raise WorkerUnavailable(
+            handle.slot, f"request failed: {failure}", sent=True
+        ) from failure
 
     def proxy_json(
         self,
@@ -268,13 +260,54 @@ class FleetRouter:
         )
         return self.proxy(handle, method, path, body)
 
+    async def _open_stream(self, handle: WorkerHandle, path: str):
+        """Subscribe to a worker stream and read the response head;
+        returns ``(reader, writer, status, headers)``.
+
+        The connection is dedicated and never pooled (``Connection:
+        close``): a stream owns its socket for its whole life, so a
+        mid-stream death kills exactly one subscription."""
+        try:
+            reader, writer = await self._connect(handle)
+        except OSError as exc:
+            raise WorkerUnavailable(
+                handle.slot, f"connect failed: {exc}", sent=False
+            ) from exc
+        try:
+            writer.write(
+                self._request_bytes(
+                    handle, "GET", path, b"", {"Connection": "close"}
+                )
+            )
+            await writer.drain()
+            (_, status, _), headers = await _read_head(reader)
+            return reader, writer, int(status), headers
+        except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
+            writer.close()
+            raise WorkerUnavailable(
+                handle.slot, f"request failed: {exc}", sent=True
+            ) from exc
+
     # --- request handling ----------------------------------------------------
 
-    async def dispatch_raw(
-        self, method: str, path: str, body: bytes
-    ) -> tuple[int, bytes]:
-        """Route one public request; returns ``(status, body bytes)``."""
+    async def respond(
+        self, method: str, path: str, body: bytes, headers: dict[str, str]
+    ):
+        """Route one public request; returns ``(status, body bytes)``,
+        or for an SSE subscription the coroutine that proxies it over
+        the client connection.  Client headers are never forwarded."""
         parts = [p for p in path.split("/") if p]
+        if method == "GET" and parts == ["events", "stream"]:
+            return self._proxy_service_stream
+        if (
+            method == "GET"
+            and len(parts) == 3
+            and parts[0] == "sessions"
+            and parts[2] == "stream"
+        ):
+            return functools.partial(
+                self._proxy_session_stream, parts[1], path
+            )
         if parts == ["fleet"]:
             return await self._aggregate_fleet()
         if parts == ["stats"] or not parts:
@@ -294,7 +327,7 @@ class FleetRouter:
             return await self._session_request(
                 parts[1], method, path, body
             )
-        return self._json(
+        return json_response(
             404, {"error": "not_found", "message": f"no route {path!r}"}
         )
 
@@ -312,11 +345,9 @@ class FleetRouter:
         if handle is None:
             # Home slot is mid-respawn: cover the new session on a
             # survivor, exactly like a failover of an existing one.
-            handle = self._pick_live(exclude=slot)
+            handle = self._fail_over(session_id, slot)
             if handle is None:
                 return self._no_workers()
-            self.overrides[session_id] = handle.slot
-            self.failovers_total += 1
         try:
             return await self.proxy(
                 handle,
@@ -334,41 +365,32 @@ class FleetRouter:
         self, session_id: str, method: str, path: str, body: bytes
     ) -> tuple[int, bytes]:
         slot, handle = self._home_handle(session_id)
+        result = None
         if handle is not None:
             try:
-                status, response = await self.proxy(
-                    handle, method, path, body
-                )
+                result = await self.proxy(handle, method, path, body)
             except WorkerUnavailable as exc:
-                if not exc.sent and method != "GET":
-                    # The request bytes never left the router, so a
-                    # mutating request is still safe to fail over.
-                    pass
-                elif method != "GET":
+                if exc.sent and method != "GET":
+                    # The worker may have applied the mutation, so
+                    # re-sending it to a survivor could apply it twice.
                     self.unavailable_total += 1
                     return self._unavailable()
-            else:
-                if method == "DELETE" and status < 400:
-                    self.overrides.pop(session_id, None)
-                return status, response
-        # Home (or covering) worker is gone: fail over to a survivor,
-        # which takes the session's lease over and rehydrates it.
-        survivor = self._pick_live(exclude=slot)
-        if survivor is None:
-            return self._no_workers()
-        self.overrides[session_id] = survivor.slot
-        self.failovers_total += 1
-        try:
-            status, response = await self.proxy(
-                survivor, method, path, body
-            )
-        except WorkerUnavailable:
-            self.unavailable_total += 1
+        if result is None:
+            # Home (or covering) worker is gone: fail over to a
+            # survivor, which takes the session's lease over and
+            # rehydrates it.
+            handle = self._fail_over(session_id, slot)
+            if handle is None:
+                return self._no_workers()
+            try:
+                result = await self.proxy(handle, method, path, body)
+            except WorkerUnavailable:
+                self.unavailable_total += 1
+                self.overrides.pop(session_id, None)
+                return self._unavailable()
+        if method == "DELETE" and result[0] < 400:
             self.overrides.pop(session_id, None)
-            return self._unavailable()
-        if method == "DELETE" and status < 400:
-            self.overrides.pop(session_id, None)
-        return status, response
+        return result
 
     # --- aggregation ---------------------------------------------------------
 
@@ -482,11 +504,11 @@ class FleetRouter:
             "shared_entries": plan_ready_max,
             "shared_bytes": plan_bytes_max,
         }
-        return self._json(200, payload)
+        return json_response(200, payload)
 
     async def _aggregate_stats(self) -> tuple[int, bytes]:
         gathered = await self._fan_out("GET", "/stats")
-        return self._json(
+        return json_response(
             200,
             {
                 "fleet": self.fleet_payload(),
@@ -507,12 +529,12 @@ class FleetRouter:
             for _, payload in gathered
             for build in payload.get("builds", [])
         ]
-        return self._json(
+        return json_response(
             200, {"builds": builds, "in_flight": len(builds)}
         )
 
     async def _aggregate_dashboard(self) -> tuple[int, bytes]:
-        return self._json(200, await self._dashboard_payload())
+        return json_response(200, await self._dashboard_payload())
 
     async def _dashboard_payload(self) -> dict[str, Any]:
         """Merge every worker's ``GET /dashboard`` into one fleet view.
@@ -578,7 +600,7 @@ class FleetRouter:
             ),
             default=0,
         )
-        return self._json(
+        return json_response(
             200,
             {
                 "sessions": sessions,
@@ -589,36 +611,6 @@ class FleetRouter:
         )
 
     # --- stream proxying -----------------------------------------------------
-
-    def _stream_request(self, handle: WorkerHandle, path: str) -> bytes:
-        """The upstream GET for a stream subscription — a dedicated,
-        non-pooled connection (``Connection: close``): a stream owns
-        its socket for its whole life, so pooling gains nothing and a
-        mid-stream death must kill exactly one subscription."""
-        return (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {self.fleet.config.host}:{handle.port}\r\n"
-            f"Content-Length: 0\r\n"
-            f"Connection: close\r\n"
-            f"\r\n"
-        ).encode("ascii")
-
-    @staticmethod
-    async def _read_response_head(
-        reader,
-    ) -> tuple[int, dict[str, str]]:
-        line = await reader.readline()
-        if not line:
-            raise asyncio.IncompleteReadError(b"", None)
-        status = int(line.split()[1])
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return status, headers
 
     @staticmethod
     async def _read_chunk(reader) -> bytes | None:
@@ -639,47 +631,27 @@ class FleetRouter:
         return payload
 
     async def _open_session_stream(self, session_id: str, path: str):
-        """Connect to the session's worker and read the response head,
-        failing over (with an override, like any session request) when
-        the home worker is unreachable.  Subscribing is idempotent, so
-        retrying on a survivor is always safe — unlike a mutating
-        request, a subscription that half-landed on a dead worker has
-        no effect a client could observe."""
+        """Open the session's stream on its worker, failing over (with
+        an override, like any session request) when that worker is
+        unreachable; returns ``(handle, reader, writer, status,
+        headers)``, or None when no worker could take it.  Subscribing
+        is idempotent, so retrying on a survivor is always safe —
+        unlike a mutating request, a subscription that half-landed on a
+        dead worker has no effect a client could observe."""
         slot, handle = self._home_handle(session_id)
-        tried_failover = False
-        while True:
-            if handle is None:
-                survivor = self._pick_live(exclude=slot)
-                if survivor is None:
-                    return None
-                self.overrides[session_id] = survivor.slot
-                self.failovers_total += 1
-                handle = survivor
-                tried_failover = True
+        if handle is not None:
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.fleet.config.host, handle.port
-                )
-            except OSError:
-                reader = writer = None
-            if reader is not None:
-                try:
-                    writer.write(self._stream_request(handle, path))
-                    await writer.drain()
-                    status, headers = await self._read_response_head(
-                        reader
-                    )
-                    return handle, reader, writer, status, headers
-                except (
-                    OSError,
-                    asyncio.IncompleteReadError,
-                    ValueError,
-                ):
-                    writer.close()
+                return (handle, *await self._open_stream(handle, path))
+            except WorkerUnavailable:
+                self.unavailable_total += 1
+        survivor = self._fail_over(session_id, slot)
+        if survivor is None:
+            return None
+        try:
+            return (survivor, *await self._open_stream(survivor, path))
+        except WorkerUnavailable:
             self.unavailable_total += 1
-            if tried_failover:
-                return None
-            slot, handle = handle.slot, None
+            return None
 
     def _reconnect_frame(
         self, topic: str, slot: int, **extra: Any
@@ -700,29 +672,23 @@ class FleetRouter:
         )
 
     async def _proxy_session_stream(
-        self, writer, session_id: str, path: str
+        self, session_id: str, path: str, reader, writer
     ) -> None:
         """``GET /sessions/{id}/stream``: forward the worker's SSE
         stream chunk-by-chunk; on mid-stream worker death emit a
         ``reconnect`` event and a clean end-of-stream."""
         opened = await self._open_session_stream(session_id, path)
         if opened is None:
-            writer.write(self._raw_response(*self._unavailable()))
+            writer.write(_response_bytes(*self._unavailable()))
             await writer.drain()
             return
         handle, up_reader, up_writer, status, headers = opened
         try:
-            chunked = (
-                headers.get("transfer-encoding", "").lower() == "chunked"
-            )
-            if not chunked:
+            if headers.get("transfer-encoding", "").lower() != "chunked":
                 # Not a stream (e.g. a 404 for an unknown session):
                 # relay the JSON error as an ordinary response.
-                length = int(headers.get("content-length", "0") or "0")
-                body = (
-                    await up_reader.readexactly(length) if length else b""
-                )
-                writer.write(self._raw_response(status, body))
+                body = await _read_body(up_reader, headers)
+                writer.write(_response_bytes(status, body))
                 await writer.drain()
                 return
             self.proxied_total += 1
@@ -758,13 +724,8 @@ class FleetRouter:
                     return
                 writer.write(_chunk(payload))
                 await writer.drain()
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            OSError,
-            asyncio.CancelledError,
-        ):
-            pass  # client went away, or router shutdown
+        except OSError:
+            pass  # the client went away
         finally:
             up_writer.close()
 
@@ -776,7 +737,7 @@ class FleetRouter:
         except (ConnectionResetError, BrokenPipeError, OSError) as exc:
             raise _ClientGone() from exc
 
-    async def _proxy_service_stream(self, writer) -> None:
+    async def _proxy_service_stream(self, reader, writer) -> None:
         """``GET /events/stream``: multiplex every worker's service
         feed into one client stream.  One pump task per slot forwards
         chunks under a shared write lock; a dead slot's pump emits a
@@ -798,7 +759,7 @@ class FleetRouter:
                 )
             )
             await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
+        except OSError:
             return
         lock = asyncio.Lock()
         stop = asyncio.Event()
@@ -829,20 +790,13 @@ class FleetRouter:
                     await asyncio.sleep(_REATTACH_INTERVAL)
                     continue
                 try:
-                    up_reader, up_writer = await asyncio.open_connection(
-                        self.fleet.config.host, handle.port
+                    up_reader, up_writer, status, headers = (
+                        await self._open_stream(handle, "/events/stream")
                     )
-                except OSError:
+                except WorkerUnavailable:
                     await asyncio.sleep(_REATTACH_INTERVAL)
                     continue
                 try:
-                    up_writer.write(
-                        self._stream_request(handle, "/events/stream")
-                    )
-                    await up_writer.drain()
-                    status, headers = await self._read_response_head(
-                        up_reader
-                    )
                     if (
                         status != 200
                         or headers.get("transfer-encoding", "").lower()
@@ -882,9 +836,10 @@ class FleetRouter:
     async def _rebalance(self, replacement: WorkerHandle) -> None:
         """A slot respawned: send its strayed sessions home.
 
-        Each survivor demotes the sessions it was covering (checkpoint,
-        flush, lease release); the overrides are cleared, so the next
-        touch rehydrates each session on the respawned home slot."""
+        Each survivor demotes the sessions it was covering (journal tail
+        flushed, lease released; no checkpoint is written); the
+        overrides are cleared, so the next touch rehydrates each
+        session on the respawned home slot."""
         slot = replacement.slot
         strayed: dict[int, list[str]] = {}
         for session_id, covering in self.overrides.items():
@@ -912,7 +867,7 @@ class FleetRouter:
                     if status >= 400:
                         continue
                     # Only the sessions the holder actually demoted
-                    # (checkpointed, flushed, lease released) go home;
+                    # (flushed, lease released) go home;
                     # a skipped one is mid-rehydration on the holder —
                     # clearing its override now would point the home
                     # slot at a lease the holder is actively renewing.
@@ -940,12 +895,8 @@ class FleetRouter:
 
     # --- HTTP front ----------------------------------------------------------
 
-    @staticmethod
-    def _json(status: int, payload: dict[str, Any]) -> tuple[int, bytes]:
-        return status, json.dumps(payload).encode("utf-8")
-
     def _unavailable(self) -> tuple[int, bytes]:
-        return self._json(
+        return json_response(
             503,
             {
                 "error": "worker_unavailable",
@@ -956,7 +907,7 @@ class FleetRouter:
         )
 
     def _no_workers(self) -> tuple[int, bytes]:
-        return self._json(
+        return json_response(
             503,
             {
                 "error": "no_workers",
@@ -964,117 +915,20 @@ class FleetRouter:
             },
         )
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    asyncio.CancelledError,
-                ):
-                    break
-                except (ValueError, BadRequest) as exc:
-                    writer.write(
-                        _response_bytes(
-                            400,
-                            {
-                                "error": "bad_request",
-                                "message": str(exc),
-                            },
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, path, body, keep_alive, _headers = request
-                parts = [p for p in path.split("/") if p]
-                if method == "GET" and (
-                    parts == ["events", "stream"]
-                    or (
-                        len(parts) == 3
-                        and parts[0] == "sessions"
-                        and parts[2] == "stream"
-                    )
-                ):
-                    # Streaming upgrade: the connection belongs to the
-                    # proxied stream until it ends, never reused.
-                    try:
-                        if parts == ["events", "stream"]:
-                            await self._proxy_service_stream(writer)
-                        else:
-                            await self._proxy_session_stream(
-                                writer, parts[1], path
-                            )
-                    except asyncio.CancelledError:
-                        pass
-                    break
-                try:
-                    status, response = await self.dispatch_raw(
-                        method, path, body
-                    )
-                except asyncio.CancelledError:
-                    break
-                except Exception as exc:  # noqa: BLE001 - barrier
-                    status, response = self._json(
-                        500,
-                        {
-                            "error": "internal_error",
-                            "message": str(exc),
-                        },
-                    )
-                writer.write(self._raw_response(status, response))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    def _raw_response(status: int, body: bytes) -> bytes:
-        from .app import _REASONS
-
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: keep-alive\r\n"
-            f"\r\n"
-        ).encode("ascii")
-        return head + body
-
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> asyncio.base_events.Server:
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port
-        )
-        return self._server
+        """Spawn every worker (each blocks on its READY handshake), then
+        bind the public port."""
+        await self.fleet.start()
+        return await super().start(host, port)
 
     async def shutdown(self, drain: bool = False) -> None:
-        """Stop serving; with ``drain`` every worker checkpoints,
-        demotes and releases its sessions before the fleet is
-        terminated (SIGTERM semantics for the whole deployment)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(
-                *self._connections, return_exceptions=True
-            )
+        """Stop serving; with ``drain`` every worker demotes its
+        sessions (journal tail flushed, leases released) before the
+        fleet is terminated (SIGTERM semantics for the whole
+        deployment)."""
+        await self._stop_serving()
         if drain:
             await self.drain()
         for pool in self._pools.values():

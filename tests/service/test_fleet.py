@@ -15,6 +15,7 @@ protocol is covered in-process in ``test_lease.py``.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import socket
 import threading
@@ -30,12 +31,16 @@ from repro.core import (
 )
 from repro.core.serialize import instance_to_dict
 from repro.service import (
+    Fleet,
     FleetConfig,
+    FleetRouter,
     FleetServer,
     ServiceApp,
     ServiceClient,
     ServiceClientError,
     SqliteSessionStore,
+    WorkerHandle,
+    WorkerUnavailable,
 )
 from repro.service.fleet import manager_from_config
 
@@ -254,13 +259,43 @@ class TestFleetBasics:
             assert excinfo.value.status == 404
 
 
+# --- worker exchange ---------------------------------------------------------
+
+
+class TestProxy:
+    def test_request_a_dead_worker_read_counts_as_sent(self, tmp_path):
+        """A worker that read the request before it died may have
+        applied it.  The retry's refused connect must not turn that into
+        ``sent=False``, which would let a mutation be re-sent to a
+        survivor."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def read_then_die():
+            connection, _ = listener.accept()
+            connection.recv(65536)
+            listener.close()  # stop listening first: the retry is refused
+            connection.close()
+
+        worker = threading.Thread(target=read_then_die)
+        worker.start()
+        router = FleetRouter(Fleet(fleet_config(tmp_path, workers=1)))
+        handle = WorkerHandle(
+            slot=0, generation=1, owner_id="w0g1", port=port, process=None
+        )
+        with pytest.raises(WorkerUnavailable) as excinfo:
+            asyncio.run(
+                router.proxy(handle, "POST", "/sessions/s/answer", b"{}")
+            )
+        worker.join(timeout=10)
+        assert excinfo.value.sent is True
+
+
 # --- control routes ----------------------------------------------------------
 
 
 class TestControlRoutes:
     def run(self, coro):
-        import asyncio
-
         return asyncio.run(coro)
 
     def test_disabled_by_default(self):

@@ -441,21 +441,25 @@ class TestHardening:
             )
         assert len(calls) == 1  # neither rejected request built anything
 
-    def test_malformed_content_length_gets_400(self):
+    def test_malformed_content_length_gets_400(self, tmp_path):
+        """On a solo server and through the fleet router alike: both
+        fronts run one connection loop."""
         import socket
 
-        from repro.service import ServiceServer
+        from repro.service import FleetConfig, FleetServer, ServiceServer
 
-        with ServiceServer() as server:
-            with socket.create_connection(
-                (server.host, server.port), timeout=10
-            ) as sock:
-                sock.sendall(
-                    b"POST /stats HTTP/1.1\r\n"
-                    b"Content-Length: abc\r\n\r\n"
-                )
-                response = sock.recv(4096)
-        assert response.startswith(b"HTTP/1.1 400")
+        fleet = FleetConfig(store_path=str(tmp_path / "fleet.db"), workers=1)
+        for server in (ServiceServer(), FleetServer(fleet)):
+            with server:
+                with socket.create_connection(
+                    (server.host, server.port), timeout=10
+                ) as sock:
+                    sock.sendall(
+                        b"POST /stats HTTP/1.1\r\n"
+                        b"Content-Length: abc\r\n\r\n"
+                    )
+                    response = sock.recv(4096)
+            assert response.startswith(b"HTTP/1.1 400"), server
 
     def test_null_seed_materialises_so_snapshots_resume(self):
         spec = parse_create_payload(

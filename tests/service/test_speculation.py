@@ -133,7 +133,7 @@ class TestPrecomputeCorrectness:
             managed = _create(manager, seed=9)
             # Occupy the single build worker so both branch jobs stay
             # queued: the answer must arrive before speculation ran.
-            manager._executor().submit(release.wait)
+            manager._build_executor.submit(release.wait)
             question = manager.propose_question(managed)
             label = oracle.label(question.tuple_pair)
             example = manager.record_answer(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import time
 
 import pytest
 

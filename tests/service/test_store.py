@@ -16,12 +16,15 @@ on tiny instances below.)
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import os
 import random
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,14 @@ def inline_spec(instance, strategy="TD", seed=5):
         seed,
         None,
     )
+
+
+class _SlowDeleteStore(SqliteSessionStore):
+    """Deletes take 0.3 s, standing in for a busy writer thread."""
+
+    def delete(self, session_id: str) -> None:
+        time.sleep(0.3)
+        super().delete(session_id)
 
 
 class BiasedCoin:
@@ -301,12 +312,63 @@ class TestManagerJournaling:
         manager.flush_store()
         assert managed.session_id in store
         asyncio.run(manager.delete_async(managed.session_id))
-        manager.close(wait=True)  # waits out the queued store delete
-        assert managed.session_id not in store
         with pytest.raises(NotFound):
             asyncio.run(manager.get_async(managed.session_id))
-        manager.close(wait=True)  # the lookup's store read reopened a pool
+        manager.close(wait=True)
+        assert managed.session_id not in store
         store.close()
+
+    def test_lookup_right_after_delete_waits_for_the_store_delete(
+        self, tmp_path
+    ):
+        """``DELETE`` returns before the writer thread deletes the row;
+        a lookup that reads the store meanwhile must not bring the
+        session back."""
+        store = _SlowDeleteStore(str(tmp_path / "s.db"))
+        manager = make_manager(store=store)
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+            )
+        )
+        drive(manager, managed, BiasedCoin(1), limit=1)
+        manager.flush_store()
+
+        async def delete_then_get():
+            await manager.delete_async(managed.session_id)
+            return await manager.get_async(managed.session_id)
+
+        try:
+            with pytest.raises(NotFound):
+                asyncio.run(delete_then_get())
+        finally:
+            manager.close(wait=True)
+            store.close()
+
+    def test_closed_manager_takes_no_work(self, tmp_path):
+        """``close()`` is terminal: a lookup afterwards raises instead of
+        quietly starting pool threads that no later close joins."""
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
+        manager = make_manager(store=store)
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+            )
+        )
+        manager.demote(managed.session_id)
+        manager.close(wait=True)
+        before = {thread.ident for thread in threading.enumerate()}
+        try:
+            with pytest.raises(RuntimeError):
+                asyncio.run(manager.get_async(managed.session_id))
+            started = [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.ident not in before
+            ]
+            assert started == []
+        finally:
+            store.close()
 
     def test_delete_of_demoted_session_skips_rehydration(self, tmp_path):
         store = SqliteSessionStore(str(tmp_path / "s.db"))
@@ -925,4 +987,46 @@ class TestServiceDurability:
             assert results == [1, 1, 1, 1]
             assert control.stats()["store"]["rehydrations_total"] == 1
             control.close()
+        store.close()
+
+    def test_solo_server_ignores_the_fleet_session_id_header(
+        self, tmp_path
+    ):
+        """Only a fleet worker takes its session id from the router's
+        ``x-fleet-session-id`` header.  A client sending it to a solo
+        server gets a fresh id, so naming a demoted session's id cannot
+        shadow that session, which rehydrates intact."""
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
+        manager = make_manager(store=store, max_sessions=1)
+        with ServiceServer(manager=manager) as server:
+            client = ServiceClient(server.host, server.port)
+            sid = client.create_session(
+                workload="synthetic/1", strategy="TD", seed=8
+            )["session_id"]
+            for _ in range(2):
+                question = client.next_question(sid)
+                client.post_answer(sid, question["question_id"], "-")
+            # At capacity: this create demotes the first session.
+            client.create_session(workload="synthetic/1", strategy="BU")
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=30
+            )
+            connection.request(
+                "POST",
+                "/sessions",
+                body=json.dumps({"workload": "synthetic/1"}),
+                headers={
+                    "Content-Type": "application/json",
+                    "x-fleet-session-id": sid,
+                },
+            )
+            response = connection.getresponse()
+            created = json.loads(response.read())
+            connection.close()
+            assert response.status == 201
+            assert created["session_id"] != sid
+            info = client.session_info(sid)
+            assert info["strategy"] == "TD"
+            assert info["progress"]["interactions"] == 2
+            client.close()
         store.close()
