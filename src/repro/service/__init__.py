@@ -39,6 +39,7 @@ worker death into a clean retryable ``reconnect`` event.
 from .app import (
     EventStream,
     HttpFront,
+    ServerThread,
     ServiceApp,
     ServiceFeedBroadcaster,
     ServiceServer,
@@ -113,6 +114,7 @@ __all__ = [
     "PLAN_SEGMENT_PREFIX",
     "PublishTicket",
     "SegmentInfo",
+    "ServerThread",
     "ServiceApp",
     "ServiceClient",
     "ServiceClientError",

@@ -51,14 +51,11 @@ Cold index builds run on the manager's worker pool (single-flight per
 fingerprint), so while one client waits for a large build, every other
 session keeps answering and ``GET /builds`` lists the builds in flight.
 
-Fleet workers (``ServiceApp(control=True)``) additionally expose
-worker-internal control routes the front router drives — never meant
+Fleet workers (``ServiceApp(control=True)``) additionally expose one
+worker-internal control route the front router drives — never meant
 for external clients, and 404 unless enabled:
 
 ==========  ==============================  =====================================
-GET         ``/control/health``             liveness + live-session count
-POST        ``/control/drain``              demote every durable session, flush,
-                                            release leases (graceful shutdown)
 POST        ``/control/demote``             demote the listed sessions (rebalance
                                             after a dead slot respawns)
 ==========  ==============================  =====================================
@@ -68,16 +65,19 @@ the owning worker before the create lands), passing them down via the
 internal ``x-fleet-session-id`` header on create/resume.  Only a fleet
 worker reads that header: a public-facing app mints every id itself.
 
-**One HTTP layer.**  This module holds the only copy of the HTTP/1.1
-plumbing.  :func:`serve_connection` runs every client connection of
-both fronts, :class:`ServiceApp` and the fleet router
+**One HTTP layer, one lifecycle.**  This module holds the only copy of
+the HTTP/1.1 plumbing.  :func:`serve_connection` runs every client
+connection of both fronts, :class:`ServiceApp` and the fleet router
 (:mod:`~repro.service.router`), over their ``respond`` coroutine;
 :func:`_read_head` parses requests here and worker responses in the
-router; :class:`HttpFront` binds the socket and stops it; and
-:func:`serve` is the lifecycle of every server process — the solo
-``repro-join serve``, each fleet worker and the fleet router: bind,
-print the banner, wait for SIGTERM or SIGINT, then
-``shutdown(drain=True)``.
+router; :class:`HttpFront` binds the socket and stops it.  Every front
+stops one way, ``shutdown()``, and it always drains: the app demotes
+every durable session, waits for the writer thread and closes the
+manager and then the store; the router terminates its workers, and
+each drains on that SIGTERM.  :func:`serve` runs a front as a server
+process (the solo ``repro-join serve``, each fleet worker and the
+router) until SIGTERM or SIGINT; :class:`ServerThread` runs one on a
+background thread.
 """
 
 from __future__ import annotations
@@ -113,6 +113,7 @@ __all__ = [
     "ServiceApp",
     "EventStream",
     "ServiceFeedBroadcaster",
+    "ServerThread",
     "ServiceServer",
     "serve",
     "serve_connection",
@@ -514,8 +515,9 @@ class HttpFront:
     :func:`serve_connection` over the front's ``respond`` coroutine,
     and :meth:`_stop_serving` closes it and cancels every open
     connection, keep-alive or stream.  A front also defines
-    ``shutdown(drain)``, which :func:`serve` awaits on SIGTERM or
-    SIGINT."""
+    ``shutdown()``, which stops serving and drains: :func:`serve`
+    awaits it on SIGTERM or SIGINT, :meth:`ServerThread.close` on the
+    harness's loop."""
 
     _server: asyncio.base_events.Server | None = None
 
@@ -556,7 +558,7 @@ async def serve(
     """Run ``front`` as this process's server: bind, print ``banner``
     formatted with the bound ``host`` and ``port`` (how a parent process
     learns the port ``port=0`` picked), serve until SIGTERM or SIGINT,
-    then ``front.shutdown(drain=True)``."""
+    then ``front.shutdown()``."""
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -565,7 +567,7 @@ async def serve(
     bound = server.sockets[0].getsockname()
     print(banner.format(host=bound[0], port=bound[1]), flush=True)
     await stop.wait()
-    await front.shutdown(drain=True)
+    await front.shutdown()
 
 
 class ServiceApp(HttpFront):
@@ -612,27 +614,17 @@ class ServiceApp(HttpFront):
             return response.serve
         return json_response(status, response)
 
-    async def shutdown(self, drain: bool = False) -> None:
-        """Stop serving, then release the manager's pools.
-
-        ``drain`` is the exit of a server process (:func:`serve` on
-        SIGTERM or SIGINT): every durable session is first demoted and
-        its journal tail and lease release committed, and the store is
-        closed last, so a successor process resumes every session."""
+    async def shutdown(self) -> None:
+        """Stop serving and drain: demote every durable session, wait
+        off-loop until the writer thread has committed each one's
+        journal tail and lease release, then close the manager and the
+        store, so a successor process resumes every session."""
         await self._stop_serving()
-        if drain:
-            await self._drain()
-        self.manager.close(wait=True)
-        if drain and self.manager.store is not None:
-            self.manager.store.close()
-
-    async def _drain(self) -> list[str]:
-        """Demote every durable session, then wait off-loop until the
-        writer thread has committed each one's journal tail (and its
-        trailing lease release); returns the demoted ids."""
-        demoted = self.manager.demote_all()
+        self.manager.demote_all()
         await self.manager.offload(self.manager.flush_store)
-        return demoted
+        self.manager.close(wait=True)
+        if self.manager.store is not None:
+            self.manager.store.close()
 
     async def dispatch(
         self,
@@ -757,43 +749,27 @@ class ServiceApp(HttpFront):
     async def _control(
         self, method: str, parts: list[str], payload: Any
     ) -> tuple[int, dict[str, Any]]:
-        """Worker-internal routes the fleet router drives."""
-        if not self.control:
+        """``POST /control/demote``, the worker-internal route the fleet
+        router sends a respawned slot's sessions home through."""
+        if not self.control or parts != ["control", "demote"]:
             raise NotFound("no route /" + "/".join(parts))
-        route = parts[1] if len(parts) == 2 else None
-        if route == "health":
-            if method != "GET":
-                raise BadRequest(f"{method} not allowed on health")
-            return 200, {
-                "ok": True,
-                "owner": self.manager.owner_id,
-                "sessions": len(self.manager),
-            }
-        if route == "drain":
-            if method != "POST":
-                raise BadRequest(f"{method} not allowed on drain")
-            # The router hears that the drain finished only once every
-            # demoted session is durable.
-            return 200, {"demoted": await self._drain()}
-        if route == "demote":
-            if method != "POST":
-                raise BadRequest(f"{method} not allowed on demote")
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("session_ids"), list
-            ):
-                raise BadRequest("'session_ids' must be a list")
-            demoted: list[str] = []
-            skipped: list[str] = []
-            for session_id in payload["session_ids"]:
-                try:
-                    self.manager.demote(session_id)
-                except (NotFound, BadRequest):
-                    skipped.append(session_id)
-                else:
-                    demoted.append(session_id)
-            await self.manager.offload(self.manager.flush_store)
-            return 200, {"demoted": demoted, "skipped": skipped}
-        raise NotFound("no route /" + "/".join(parts))
+        if method != "POST":
+            raise BadRequest(f"{method} not allowed on demote")
+        if not isinstance(payload, dict) or not isinstance(
+            payload.get("session_ids"), list
+        ):
+            raise BadRequest("'session_ids' must be a list")
+        demoted: list[str] = []
+        skipped: list[str] = []
+        for session_id in payload["session_ids"]:
+            try:
+                self.manager.demote(session_id)
+            except (NotFound, BadRequest):
+                skipped.append(session_id)
+            else:
+                demoted.append(session_id)
+        await self.manager.offload(self.manager.flush_store)
+        return 200, {"demoted": demoted, "skipped": skipped}
 
     async def _create(
         self, payload: Any, headers: dict[str, str] | None = None
@@ -982,76 +958,62 @@ class ServiceApp(HttpFront):
         )
 
 
-class ServiceServer:
-    """A server on a background thread — for tests, benchmarks, and
-    examples that need a live endpoint inside one process.  It starts
-    and stops the app the way :func:`serve` does, without the drain.
+class ServerThread:
+    """Any :class:`HttpFront` on a background thread's event loop, for
+    tests, benchmarks and examples that need a live endpoint in-process.
+    :meth:`start` returns once the port is bound, or raises at once with
+    the front's error as the cause; :meth:`close` awaits the
+    ``front.shutdown()`` that :func:`serve` awaits, so a closed harness
+    has drained like a stopped server process."""
 
-    Usage::
-
-        with ServiceServer(manager=SessionManager()) as server:
-            client = ServiceClient(server.host, server.port)
-    """
-
-    #: Every started-but-not-closed instance — the test suite's leak
+    #: Every started-but-not-closed harness — the test suite's leak
     #: guard asserts this is empty after each session, so a test that
     #: forgets ``close()`` fails loudly instead of leaking a socket and
     #: a loop thread into the next test.
-    _live: "weakref.WeakSet[ServiceServer]" = weakref.WeakSet()
+    _live: "weakref.WeakSet[ServerThread]" = weakref.WeakSet()
 
     def __init__(
-        self,
-        manager: SessionManager | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        self, front: HttpFront, host: str = "127.0.0.1", port: int = 0
     ):
-        self.app = ServiceApp(manager)
+        self.front = front
         self._requested = (host, port)
         self.host: str | None = None
         self.port: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._stop: asyncio.Event | None = None
 
-    @property
-    def manager(self) -> SessionManager:
-        """The hosted session manager."""
-        return self.app.manager
-
-    def start(self) -> "ServiceServer":
+    def start(self) -> ServerThread:
         """Start the loop thread and block until the port is bound."""
         if self._thread is not None:
             raise RuntimeError("server already started")
+        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
+            target=self._run, name="repro-server", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("service failed to start within 30s")
-        ServiceServer._live.add(self)
+        try:
+            server = self._on_loop(self.front.start(*self._requested))
+        except Exception as exc:
+            self._end_loop()
+            raise RuntimeError(f"server failed to start: {exc}") from exc
+        self.host, self.port = server.sockets[0].getsockname()[:2]
+        ServerThread._live.add(self)
         return self
 
+    def _on_loop(self, coro):
+        """Run ``coro`` on the harness's loop and return its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
+        loop = self._loop
         asyncio.set_event_loop(loop)
-
-        async def main() -> None:
-            server = await self.app.start(*self._requested)
-            self.host, self.port = server.sockets[0].getsockname()[:2]
-            self._stop = asyncio.Event()
-            self._started.set()
-            await self._stop.wait()
-            await self.app.shutdown()
-
         try:
-            loop.run_until_complete(main())
+            loop.run_forever()
         finally:
-            # Tasks the manager started (rehydrations, index builds)
-            # end with the loop: cancel them and let them finish, or
-            # they die un-awaited when the loop closes ("Task was
-            # destroyed but it is pending!" noise).
+            # Tasks the front started (rehydrations, index builds,
+            # worker monitors) end with the loop: cancel them and let
+            # them finish, or they die un-awaited when the loop closes
+            # ("Task was destroyed but it is pending!" noise).
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()
@@ -1062,19 +1024,47 @@ class ServiceServer:
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
-    def close(self) -> None:
-        """Stop serving and join the loop thread."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
-            return
-        loop.call_soon_threadsafe(self._stop.set)
-        thread.join(timeout=30)
-        self._loop = None
-        self._thread = None
-        ServiceServer._live.discard(self)
+    def _end_loop(self) -> None:
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+        self._loop = self._thread = None
 
-    def __enter__(self) -> "ServiceServer":
+    def close(self) -> None:
+        """Shut the front down, then end the loop thread; an error of
+        the shutdown is raised here once the thread has ended."""
+        if self._thread is None:
+            return
+        try:
+            self._on_loop(self.front.shutdown())
+        finally:
+            self._end_loop()
+            ServerThread._live.discard(self)
+
+    def __enter__(self) -> ServerThread:
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class ServiceServer(ServerThread):
+    """A :class:`ServiceApp` over ``manager`` on a background thread.
+    Closing it drains like a stopped ``repro-join serve``: durable
+    sessions are demoted, then the manager and its store are closed.
+
+    Usage::
+
+        with ServiceServer(manager=SessionManager()) as server:
+            client = ServiceClient(server.host, server.port)
+    """
+
+    def __init__(
+        self,
+        manager: SessionManager | None = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ):
+        self.app = ServiceApp(manager)
+        #: The hosted session manager.
+        self.manager = self.app.manager
+        super().__init__(self.app, host, port)

@@ -33,15 +33,17 @@ This module is both sides of the process boundary:
 * ``python -m repro.service.fleet_worker '<json-config>'`` is the
   **worker** entry point: build the manager over the shared store and
   run it through :func:`~repro.service.app.serve`, the lifecycle every
-  server process shares, with the control routes enabled: announce
-  ``FLEET_WORKER_READY port=N`` on stdout, and on SIGTERM drain
-  gracefully (demote every durable session, flush its journal tail,
-  release every lease) before exiting.
+  server process shares, with the control route enabled: announce
+  ``FLEET_WORKER_READY port=N`` on stdout, and on SIGTERM drain like
+  any stopped server (demote every durable session, flush its journal
+  tail, release every lease) before exiting.
 * :class:`Fleet` is the **supervisor** the router embeds: spawn the
-  worker subprocesses, watch them, respawn dead slots.
-* :class:`FleetServer` wraps router + fleet on a background thread for
-  tests, benchmarks and embedders — the multi-process twin of
-  :class:`~repro.service.app.ServiceServer`.
+  worker subprocesses, watch them, respawn dead slots, and on the
+  router's shutdown SIGTERM them all — the fleet's whole drain.
+* :class:`FleetServer` is router + fleet on the background-thread
+  harness :class:`~repro.service.app.ServerThread`, which
+  :class:`~repro.service.app.ServiceServer` uses too, for tests,
+  benchmarks and embedders.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ import json
 import os
 import re
 import sys
-import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Awaitable, Callable
+
+from .app import ServerThread, ServiceApp, serve
 
 __all__ = [
     "FleetConfig",
@@ -67,6 +70,12 @@ __all__ = [
 ]
 
 _READY_PATTERN = re.compile(rb"FLEET_WORKER_READY port=(\d+)")
+
+#: Seconds a spawned worker has to announce readiness.
+_SPAWN_TIMEOUT = 60.0
+
+#: Seconds a SIGTERMed worker has to drain before it is SIGKILLed.
+_TERMINATE_TIMEOUT = 15.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +107,6 @@ class FleetConfig:
     #: table is computed by one worker and attached by the rest.
     plan_cache: bool = True
     plan_cache_entries: int = 1024
-    spawn_timeout: float = 60.0
 
     def worker_payload(self, slot: int, owner_id: str) -> dict[str, Any]:
         """The JSON argv one worker subprocess is launched with."""
@@ -169,8 +177,6 @@ def worker_main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    from .app import ServiceApp, serve
-
     config = json.loads(argv[0])
     app = ServiceApp(manager_from_config(config), control=True)
     # The READY line is the handshake the supervisor blocks on: port 0
@@ -284,11 +290,12 @@ class Fleet:
         )
         try:
             port = await asyncio.wait_for(
-                self._await_ready(process), self.config.spawn_timeout
+                self._await_ready(process), _SPAWN_TIMEOUT
             )
         except BaseException:
             if process.returncode is None:
                 process.kill()
+                await process.wait()
             raise
         handle = WorkerHandle(
             slot=slot,
@@ -329,15 +336,7 @@ class Fleet:
         if self.on_respawn is not None:
             await self.on_respawn(replacement)
 
-    def kill(self, slot: int) -> int:
-        """SIGKILL one worker (crash-testing hook); returns its pid."""
-        handle = self.workers[slot]
-        if handle is None or not handle.alive:
-            raise RuntimeError(f"no live worker in slot {slot}")
-        handle.process.kill()
-        return handle.pid
-
-    async def terminate(self, timeout: float = 15.0) -> None:
+    async def terminate(self) -> None:
         """SIGTERM every worker (each drains) and reap them all."""
         self._closing = True
         handles = [h for h in self.workers if h is not None]
@@ -346,7 +345,9 @@ class Fleet:
                 handle.process.terminate()
         for handle in handles:
             try:
-                await asyncio.wait_for(handle.process.wait(), timeout)
+                await asyncio.wait_for(
+                    handle.process.wait(), _TERMINATE_TIMEOUT
+                )
             except asyncio.TimeoutError:
                 handle.process.kill()
                 await handle.process.wait()
@@ -357,13 +358,12 @@ class Fleet:
 # --- in-process harness ------------------------------------------------------
 
 
-class FleetServer:
-    """Router + worker fleet on a background thread.
-
-    The multi-process twin of :class:`~repro.service.app.ServiceServer`;
-    tests and benchmarks point an ordinary
+class FleetServer(ServerThread):
+    """Router + worker fleet on a background thread: tests and
+    benchmarks point an ordinary
     :class:`~repro.service.client.ServiceClient` at ``host:port`` and
-    get the whole fleet behind it.
+    get the whole fleet behind it.  ``close()`` shuts the router down:
+    it terminates the workers, and each drains on that SIGTERM.
 
     Usage::
 
@@ -375,91 +375,30 @@ class FleetServer:
     """
 
     def __init__(self, config: FleetConfig):
-        self.config = config
-        self.host: str | None = None
-        self.port: int | None = None
-        self.fleet: Fleet | None = None
-        self.router = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._drain_on_close = False
-        self._startup_error: BaseException | None = None
+        from .router import FleetRouter
+
+        self.fleet = Fleet(config)
+        super().__init__(FleetRouter(self.fleet), config.host, 0)
         #: slot -> generation we SIGKILLed last; wait_for_slot waits
         #: for a *newer* incarnation (right after the kill the dead
         #: handle still reads alive until the supervisor reaps it).
         self._killed_generation: dict[int, int] = {}
 
-    def start(self) -> "FleetServer":
-        if self._thread is not None:
-            raise RuntimeError("fleet server already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-fleet", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(
-            timeout=self.config.spawn_timeout * self.config.workers + 30
-        ):
-            raise RuntimeError("fleet failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"fleet failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def _run(self) -> None:
-        from .router import FleetRouter
-
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-
-        async def main() -> None:
-            try:
-                self.fleet = Fleet(self.config)
-                self.router = FleetRouter(self.fleet)
-                server = await self.router.start(self.config.host, 0)
-                sockname = server.sockets[0].getsockname()
-                self.host, self.port = sockname[0], sockname[1]
-                self._stop = asyncio.Event()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._started.set()
-                raise
-            self._started.set()
-            await self._stop.wait()
-            await self.router.shutdown(drain=self._drain_on_close)
-
-        try:
-            loop.run_until_complete(main())
-        except Exception:
-            pass
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    # -- crash-testing hooks --------------------------------------------------
-
-    def worker_pids(self) -> list[int | None]:
-        return [
-            handle.pid if handle is not None else None
-            for handle in self.fleet.workers
-        ]
-
     def kill_worker(self, slot: int) -> int:
-        """SIGKILL one worker from the calling thread."""
-        future = asyncio.run_coroutine_threadsafe(
-            self._kill(slot), self._loop
-        )
-        pid, generation = future.result(timeout=30)
-        self._killed_generation[slot] = generation
-        return pid
+        """SIGKILL one worker from the router's loop, between two of its
+        callbacks; returns its pid.  Sent straight from the calling
+        thread, it made the kill -9 test's known divergence (ROADMAP
+        direction 1) several times more frequent."""
+        handle = self.fleet.alive(slot)
+        if handle is None:
+            raise RuntimeError(f"no live worker in slot {slot}")
 
-    async def _kill(self, slot: int) -> tuple[int, int]:
-        handle = self.fleet.workers[slot]
-        generation = handle.generation if handle is not None else 0
-        return self.fleet.kill(slot), generation
+        async def kill() -> None:
+            handle.process.kill()
+
+        self._on_loop(kill())
+        self._killed_generation[slot] = handle.generation
+        return handle.pid
 
     def wait_for_slot(self, slot: int, timeout: float = 60.0) -> int:
         """Block until ``slot`` has a live worker of a *newer*
@@ -476,21 +415,3 @@ class FleetServer:
                 return handle.pid
             time.sleep(0.05)
         raise TimeoutError(f"slot {slot} did not respawn in {timeout}s")
-
-    def close(self, drain: bool = False) -> None:
-        """Stop the router (optionally draining every worker first)."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
-            return
-        self._drain_on_close = drain
-        if self._stop is not None:
-            loop.call_soon_threadsafe(self._stop.set)
-        thread.join(timeout=60)
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "FleetServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -549,16 +549,11 @@ class SessionManager:
             )
         self._demote(session_id, managed)
 
-    def demote_all(self) -> list[str]:
-        """Demote every live durable session; returns their ids."""
-        demoted = [
-            session_id
-            for session_id, managed in list(self._sessions.items())
-            if managed.durable
-        ]
-        for session_id in demoted:
-            self._demote(session_id, self._sessions[session_id])
-        return demoted
+    def demote_all(self) -> None:
+        """Demote every live durable session."""
+        for session_id, managed in list(self._sessions.items()):
+            if managed.durable:
+                self._demote(session_id, managed)
 
     def _demote_lru(self) -> bool:
         """Demote the least-recently-used durable session, if any.
@@ -1558,22 +1553,34 @@ class SessionManager:
     def flush_store(self) -> None:
         """Block until every enqueued store op has committed.
 
-        The durability barrier of a drain: ``POST /control/drain`` and
-        ``/control/demote`` run it off-loop before replying, and a fleet
-        worker runs it on SIGTERM.  Embedders and tests use it before
-        deliberately killing the process.  Answers and creates do not
-        wait for it.
+        The durability barrier of a drain: every server's shutdown and
+        ``POST /control/demote`` run it off-loop before they go on.
+        Embedders and tests use it before deliberately killing the
+        process.  Answers and creates do not wait for it.
         """
         futures = []
         for managed in list(self._sessions.values()):
             self._kick_flush(managed)
             if managed.store_flush_future is not None:
                 futures.append(managed.store_flush_future)
-        # snapshot: parked futures drop their entries from the writer
-        # thread as they finish
-        futures.extend(list(self._demote_flushes.values()))
         for future in futures:
             future.result()
+        self._wait_parked()
+
+    def _wait_parked(self, session_id: str | None = None) -> None:
+        """Block until the parked writer-thread futures (demotion
+        flushes, deletes) of ``session_id``, or of every id, are done,
+        so a store read after this sees their writes."""
+        with self._park_lock:
+            # snapshot: parked futures drop their entries from the
+            # writer thread as they finish
+            if session_id is None:
+                futures = list(self._demote_flushes.values())
+            else:
+                futures = [self._demote_flushes.get(session_id)]
+        for future in futures:
+            if future is not None:
+                future.result()
 
     def _load_stored(self, session_id: str) -> StoredSession | None:
         """Fetch a session's recoverable state (worker thread), first
@@ -1587,9 +1594,7 @@ class SessionManager:
         alive) is waited on briefly — the takeover window after a
         worker SIGKILL — and then refused with 409 rather than served
         from a contended copy."""
-        parked = self._demote_flushes.get(session_id)
-        if parked is not None:
-            parked.result()
+        self._wait_parked(session_id)
         if self._leasing:
             if session_id not in self.store:
                 return None
@@ -1732,15 +1737,21 @@ class SessionManager:
         durable state too; unknown ids raise :class:`NotFound`.  The
         store existence probe for a non-live id is a SQLite read, so it
         runs on the preprocessing pool rather than stalling the event
-        loop behind the writer thread's store lock mid-commit."""
+        loop behind the writer thread's store lock mid-commit; it waits
+        for a queued delete of the id, so a second delete raises."""
         if self._delete_live(session_id):
             return
         if self.store is not None and await self.offload(
-            self.store.__contains__, session_id
+            self._stored, session_id
         ):
             self._delete_stored(session_id)
             return
         raise NotFound(f"no session {session_id!r}")
+
+    def _stored(self, session_id: str) -> bool:
+        """Store probe, after ``session_id``'s parked writes land."""
+        self._wait_parked(session_id)
+        return session_id in self.store
 
     def _delete_live(self, session_id: str) -> bool:
         """Drop the live session, if any; True when one was dropped."""
@@ -1798,11 +1809,12 @@ class SessionManager:
         ones plus sessions left by a previous (possibly crashed)
         process on the same store.  The store read runs on the
         preprocessing pool — a SQLite scan must not stall the event
-        loop behind the writer thread's store lock mid-commit.
+        loop behind the writer thread's store lock mid-commit — after
+        every parked flush and delete, so a deleted id is not counted.
         """
         self.sweep()
         stored_ids = (
-            await self.offload(self.store.session_ids)
+            await self.offload(self._stored_ids)
             if self.store is not None
             else ()
         )
@@ -1811,6 +1823,11 @@ class SessionManager:
             "demoted": len(self._demoted),
             "recoverable": len(set(stored_ids).difference(self._sessions)),
         }
+
+    def _stored_ids(self) -> list[str]:
+        """Every stored id, read after all parked writes land."""
+        self._wait_parked()
+        return self.store.session_ids()
 
     def __len__(self) -> int:
         return len(self._sessions)

@@ -46,18 +46,20 @@ writes no checkpoint) and clears the overrides — the next touch
 rehydrates each session on its home slot from its last checkpoint and
 journal tail.
 
-**Drain.**  ``shutdown(drain=True)`` (:func:`~repro.service.app.serve`
-on SIGTERM or SIGINT) stops accepting, tells every live worker to
-``/control/drain`` — demoting every durable session and releasing
-every lease — and only then terminates the fleet, so a redeploy loses
-nothing and leaves no lease for a successor fleet to wait out.
+**Drain.**  The router adds no drain of its own.  :meth:`shutdown`
+(:func:`~repro.service.app.serve` on SIGTERM or SIGINT) stops accepting
+and terminates the fleet; each worker drains on that SIGTERM like any
+stopped server — it demotes every durable session, commits its journal
+tail and releases its lease — so a redeploy loses nothing and leaves no
+lease for a successor fleet to wait out.
 
 **HTTP.**  The router is an :class:`~repro.service.app.HttpFront`:
 its client connections run the app module's connection loop over
 :meth:`FleetRouter.respond`, and it parses worker responses with the
 same head reader, so the fleet and a solo server speak byte-identical
-HTTP.  :meth:`FleetRouter.start` spawns the workers before it binds,
-and :meth:`FleetRouter.shutdown` terminates them.
+HTTP.  :meth:`FleetRouter.start` spawns the workers before it binds
+(and terminates them again if either step fails), and
+:meth:`FleetRouter.shutdown` terminates them.
 """
 
 from __future__ import annotations
@@ -831,7 +833,7 @@ class FleetRouter(HttpFront):
         except asyncio.CancelledError:
             pass
 
-    # --- rebalance and drain -------------------------------------------------
+    # --- rebalance -----------------------------------------------------------
 
     async def _rebalance(self, replacement: WorkerHandle) -> None:
         """A slot respawned: send its strayed sessions home.
@@ -876,23 +878,6 @@ class FleetRouter(HttpFront):
                 self.overrides.pop(session_id, None)
                 self.rebalanced_total += 1
 
-    async def drain(self) -> dict[str, Any]:
-        """Ask every live worker to demote all sessions and release
-        all leases (the graceful-shutdown barrier)."""
-        demoted: dict[str, list[str]] = {}
-        for handle in self.fleet.live_handles():
-            try:
-                status, body = await self.proxy_json(
-                    handle, "POST", "/control/drain"
-                )
-            except WorkerUnavailable:
-                continue
-            if status < 400:
-                demoted[str(handle.slot)] = json.loads(body).get(
-                    "demoted", []
-                )
-        return demoted
-
     # --- HTTP front ----------------------------------------------------------
 
     def _unavailable(self) -> tuple[int, bytes]:
@@ -919,18 +904,20 @@ class FleetRouter(HttpFront):
         self, host: str = "127.0.0.1", port: int = 0
     ) -> asyncio.base_events.Server:
         """Spawn every worker (each blocks on its READY handshake), then
-        bind the public port."""
-        await self.fleet.start()
-        return await super().start(host, port)
+        bind the public port.  A spawn or bind that fails terminates
+        the workers already spawned before the error propagates."""
+        try:
+            await self.fleet.start()
+            return await super().start(host, port)
+        except BaseException:
+            await self.fleet.terminate()
+            raise
 
-    async def shutdown(self, drain: bool = False) -> None:
-        """Stop serving; with ``drain`` every worker demotes its
-        sessions (journal tail flushed, leases released) before the
-        fleet is terminated (SIGTERM semantics for the whole
-        deployment)."""
+    async def shutdown(self) -> None:
+        """Stop serving, then terminate the fleet: every worker drains
+        on the SIGTERM (sessions demoted, journal tails flushed, leases
+        released) before it exits."""
         await self._stop_serving()
-        if drain:
-            await self.drain()
         for pool in self._pools.values():
             for _, pooled_writer in pool:
                 pooled_writer.close()

@@ -207,11 +207,14 @@ def make_random_instance(
 #: Thread-name prefixes of every background worker the suite may spin
 #: up; any of them still alive after the last test is a leak.
 _BACKGROUND_THREAD_PREFIXES = (
-    "repro-service",
+    "repro-server",
     "index-build",
     "session-store",
     "create-offload",
     "lease-heartbeat",
+    "kernel-batch",
+    "shm-plane-",
+    "plan-tier-",
 )
 
 
@@ -224,12 +227,12 @@ def no_leaked_servers_or_threads():
     in flight."""
     import threading
 
-    from repro.service import ServiceServer
+    from repro.service import ServerThread
 
     yield
     deadline = time.monotonic() + 5.0
     while True:
-        servers = list(ServiceServer._live)
+        servers = list(ServerThread._live)
         threads = [
             thread.name
             for thread in threading.enumerate()
@@ -242,7 +245,7 @@ def no_leaked_servers_or_threads():
             break
         time.sleep(0.05)
     assert not servers, (
-        f"tests leaked live ServiceServer instances: {servers}"
+        f"tests leaked live servers: {servers}"
     )
     assert not threads, (
         f"tests leaked background threads: {threads}"

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import asyncio
 import http.client
+import os
+import signal
 import socket
 import threading
 import zlib
@@ -35,6 +37,7 @@ from repro.service import (
     FleetConfig,
     FleetRouter,
     FleetServer,
+    ServerThread,
     ServiceApp,
     ServiceClient,
     ServiceClientError,
@@ -302,21 +305,64 @@ class TestControlRoutes:
         manager = make_manager()
         app = ServiceApp(manager)
         status, _ = self.run(
-            app.dispatch("GET", "/control/health", None)
+            app.dispatch("POST", "/control/demote", {"session_ids": []})
         )
         assert status == 404
         manager.close(wait=True)
 
-    def test_health_when_enabled(self):
+    def test_demote_when_enabled(self):
         manager = make_manager()
         app = ServiceApp(manager, control=True)
         status, payload = self.run(
-            app.dispatch("GET", "/control/health", None)
+            app.dispatch(
+                "POST", "/control/demote", {"session_ids": ["nope"]}
+            )
         )
         assert status == 200
-        assert payload["ok"] is True
-        assert payload["sessions"] == 0
+        assert payload == {"demoted": [], "skipped": ["nope"]}
         manager.close(wait=True)
+
+
+# --- lifecycle ---------------------------------------------------------------
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestLifecycle:
+    def test_started_fleet_is_live_until_close(self, tmp_path):
+        """The suite's leak guard sees a fleet harness like a solo one."""
+        server = FleetServer(fleet_config(tmp_path, workers=1)).start()
+        try:
+            assert server in ServerThread._live
+        finally:
+            server.close()
+        assert server not in ServerThread._live
+
+    def test_router_that_cannot_bind_terminates_its_workers(
+        self, tmp_path
+    ):
+        busy = socket.create_server(("127.0.0.1", 0))
+        fleet = Fleet(fleet_config(tmp_path))
+        try:
+            with pytest.raises(OSError):
+                asyncio.run(
+                    FleetRouter(fleet).start(
+                        "127.0.0.1", busy.getsockname()[1]
+                    )
+                )
+            pids = [handle.pid for handle in fleet.workers]
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            busy.close()
+            for handle in fleet.workers:
+                if handle is not None and _running(handle.pid):
+                    os.kill(handle.pid, signal.SIGKILL)
 
 
 # --- worker assembly ---------------------------------------------------------
@@ -469,6 +515,10 @@ class TestKillTheWorker:
 
 
 class TestGracefulDrain:
+    """``close()`` terminates the workers, and each drains on the
+    SIGTERM: every session is stored with its labels and no live
+    lease."""
+
     def test_close_with_drain_persists_everything(self, tmp_path):
         config = fleet_config(tmp_path)
         server = FleetServer(config).start()
@@ -483,7 +533,7 @@ class TestGracefulDrain:
             client.post_answer(
                 info["session_id"], question["question_id"], "-"
             )
-        server.close(drain=True)
+        server.close()
 
         store = SqliteSessionStore(config.store_path)
         assert sorted(store.session_ids()) == sorted(sids)
@@ -507,7 +557,7 @@ class TestGracefulDrain:
         sid = info["session_id"]
         question = client.next_question(sid)
         client.post_answer(sid, question["question_id"], "-")
-        server.close(drain=True)
+        server.close()
 
         with FleetServer(config) as successor:
             client = ServiceClient(successor.host, successor.port)

@@ -10,7 +10,9 @@ server restart + resume must land on the identical final predicate.
 """
 
 import itertools
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -344,6 +346,18 @@ class TestServiceHygiene:
                 s["workload"]["name"] == "synthetic/2" for s in sessions
             )
             client.close()
+
+    def test_busy_port_fails_at_once_with_the_bind_error(self):
+        busy = socket.create_server(("127.0.0.1", 0))
+        try:
+            server = ServiceServer(port=busy.getsockname()[1])
+            started = time.monotonic()
+            with pytest.raises(RuntimeError) as excinfo:
+                server.start()
+            assert time.monotonic() - started < 5.0
+            assert isinstance(excinfo.value.__cause__, OSError)
+        finally:
+            busy.close()
 
 
 class TestPlanCacheStats:

@@ -124,6 +124,30 @@ def drive(manager, managed, oracle, limit=None):
     return asked
 
 
+def right_after_a_slow_delete(tmp_path, then):
+    """Delete a durable session whose store row takes 0.3 s to go, then
+    at once ``await then(manager, session_id)``; returns its result."""
+    store = _SlowDeleteStore(str(tmp_path / "s.db"))
+    manager = make_manager(store=store)
+    managed = asyncio.run(
+        manager.create_async(
+            inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+        )
+    )
+    drive(manager, managed, BiasedCoin(1), limit=1)
+    manager.flush_store()
+
+    async def delete_then():
+        await manager.delete_async(managed.session_id)
+        return await then(manager, managed.session_id)
+
+    try:
+        return asyncio.run(delete_then())
+    finally:
+        manager.close(wait=True)
+        store.close()
+
+
 def reference_sequence(instance, strategy, seed, oracle):
     """The uninterrupted in-process question sequence and predicate."""
     session = InferenceSession(
@@ -324,26 +348,28 @@ class TestManagerJournaling:
         """``DELETE`` returns before the writer thread deletes the row;
         a lookup that reads the store meanwhile must not bring the
         session back."""
-        store = _SlowDeleteStore(str(tmp_path / "s.db"))
-        manager = make_manager(store=store)
-        managed = asyncio.run(
-            manager.create_async(
-                inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+        with pytest.raises(NotFound):
+            right_after_a_slow_delete(
+                tmp_path, lambda manager, sid: manager.get_async(sid)
             )
+
+    def test_second_delete_right_after_the_first_is_not_found(
+        self, tmp_path
+    ):
+        """The second delete's store probe waits for the first one's
+        queued row delete instead of queueing another."""
+        with pytest.raises(NotFound):
+            right_after_a_slow_delete(
+                tmp_path, lambda manager, sid: manager.delete_async(sid)
+            )
+
+    def test_counts_right_after_delete_leave_the_session_out(
+        self, tmp_path
+    ):
+        counts = right_after_a_slow_delete(
+            tmp_path, lambda manager, _: manager.session_counts_async()
         )
-        drive(manager, managed, BiasedCoin(1), limit=1)
-        manager.flush_store()
-
-        async def delete_then_get():
-            await manager.delete_async(managed.session_id)
-            return await manager.get_async(managed.session_id)
-
-        try:
-            with pytest.raises(NotFound):
-                asyncio.run(delete_then_get())
-        finally:
-            manager.close(wait=True)
-            store.close()
+        assert counts == {"live": 0, "demoted": 0, "recoverable": 0}
 
     def test_closed_manager_takes_no_work(self, tmp_path):
         """``close()`` is terminal: a lookup afterwards raises instead of
