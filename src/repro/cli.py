@@ -485,19 +485,34 @@ def manager_from_args(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: a solo server, or with ``--workers N`` a front router
     over N worker processes; either way :func:`repro.service.serve`
-    runs it until SIGTERM or SIGINT, then drains it."""
+    runs it until SIGTERM or SIGINT, then drains it.  A store that
+    cannot be opened is a usage error (exit 2), raised before either
+    front is built; an address it cannot listen on exits 1."""
     import asyncio
+    import sqlite3
 
-    from .service import Fleet, FleetConfig, FleetRouter, ServiceApp, serve
+    from .service import (
+        Fleet,
+        FleetConfig,
+        FleetRouter,
+        ServiceApp,
+        SqliteSessionStore,
+        serve,
+    )
 
-    if args.workers == 1:
-        front = ServiceApp(manager_from_args(args))
-        banner = "repro-join service listening on {host}:{port}"
-    elif args.store is None:
+    if args.workers > 1 and args.store is None:
         args.error(
             "--workers requires --store: the fleet's workers "
             "share sessions through the durable store's lease protocol"
         )
+    if args.store is not None:
+        try:
+            SqliteSessionStore(str(args.store)).close()
+        except sqlite3.Error as error:
+            args.error(f"cannot open --store {args.store}: {error}")
+    if args.workers == 1:
+        front = ServiceApp(manager_from_args(args))
+        banner = "repro-join service listening on {host}:{port}"
     else:
         config = FleetConfig(
             workers=args.workers, host=args.host, **_serve_settings(args)
@@ -507,7 +522,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"fleet of {args.workers} workers serving on "
             "http://{host}:{port}"
         )
-    asyncio.run(serve(front, args.host, args.port, banner))
+    try:
+        asyncio.run(serve(front, args.host, args.port, banner))
+    except OSError as error:
+        print(
+            f"repro serve: cannot listen on {args.host}:{args.port}: "
+            f"{error}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -15,8 +15,8 @@ Opening, looking up, listing and deleting sessions are coroutines run
 on the server's event loop: :meth:`~SessionManager.create_async` pushes
 a cold index build through the cache's single-flight path onto a
 ``concurrent.futures`` worker pool (``build_workers`` threads, each
-running one whole build through the index kernel), and every store read
-or snapshot replay runs on a pool too, so none of them stalls the loop.
+running one whole build through the index kernel), replays run there
+too and every store call on one writer thread, so none stalls the loop.
 A question round — :meth:`~SessionManager.propose_question_async`, then
 :meth:`~SessionManager.record_answer` — runs under the session's lock.
 
@@ -64,21 +64,21 @@ server's lookahead work amortises one numpy dispatch across the fleet.
 :class:`~repro.service.store.SqliteSessionStore` attached, every
 accepted answer is journaled (append-only, keyed by session id) and a
 full snapshot payload is checkpointed every ``checkpoint_every``
-answers.  Journal writes happen **off the event
-loop** on a dedicated single-thread writer behind per-session
-single-flight batching: an answer enqueues its journal op and returns;
-at most one flush job per session is in flight, and one flush drains
-everything queued since the last (so a burst of answers becomes one
-SQLite transaction, and the answer path never waits on a disk write).
-Idle-TTL and capacity eviction then *demote to disk instead of
-deleting*: the in-memory session is dropped, its pending journal ops
-are flushed, and the next touch transparently **rehydrates** it — the
-stored checkpoint + journal tail replay through the ordinary
-propose/answer resume path on the build pool (off-loop, single-flight
-per session id, exactly like a cold index build), restoring strategy
-and rng bit-for-bit.  After a crash (``kill -9``), the same path
-recovers every session whose writes had committed; ``GET /sessions``
-reports live/demoted/recoverable counts.
+answers.  Every store call, reads included, runs **off the event
+loop** on one writer thread (the lease heartbeat's renewals aside), so
+a read sees every op queued before it.  Writes go through per-session
+single-flight batching: an answer enqueues its journal op and returns,
+and one flush drains everything queued since the last (a burst of
+answers becomes one SQLite transaction; the answer path never waits
+on a disk write).  Idle-TTL and capacity eviction then *demote to
+disk instead of deleting*: the in-memory session is dropped, its
+pending journal ops are flushed, and the next touch transparently
+**rehydrates** it — the stored checkpoint + journal tail replay
+through the ordinary propose/answer resume path on the build pool
+(off-loop, single-flight per session id, exactly like a cold index
+build), restoring strategy and rng bit-for-bit.  After a crash
+(``kill -9``), the same path recovers every session whose writes had
+committed; ``GET /sessions`` reports live/demoted/recoverable counts.
 
 :func:`repro.service.fleet.manager_from_config` builds every served
 manager, solo or fleet worker; the speculation and batching knobs are
@@ -206,16 +206,13 @@ class ManagedSession:
     #: answer goes through the manager); ``checkpoint_seq`` is how many
     #: of them the latest enqueued checkpoint covers.  ``store_ops`` is
     #: the per-session write queue drained by the single-flight flush
-    #: job (``store_flushing`` guards at-most-one in flight;
-    #: ``store_flush_future`` is the latest submitted drain, what
-    #: demotion/rehydration wait on).
+    #: job (``store_flushing`` guards at-most-one in flight).
     durable: bool = False
     store_seq: int = 0
     checkpoint_seq: int = 0
     store_ops: list[tuple] = field(default_factory=list)
     store_lock: threading.Lock = field(default_factory=threading.Lock)
     store_flushing: bool = False
-    store_flush_future: Future | None = None
     #: Fleet leasing (None/False outside a fleet): the fencing epoch
     #: this owner holds the session's lease at, and whether that lease
     #: was lost (fenced write or failed heartbeat) — a lost session is
@@ -357,10 +354,6 @@ class SessionManager:
         self.lease_ttl_seconds = lease_ttl_seconds
         self._heartbeat_thread: threading.Thread | None = None
         self._heartbeat_stop = threading.Event()
-        #: session_id -> epoch granted by the rehydrate-path acquire,
-        #: consumed by _admit_rehydrated (worker thread writes, event
-        #: loop reads after the replay completes).
-        self._rehydrate_epochs: dict[str, int] = {}
         self._fenced_total = 0
         self._leases_lost = 0
         self._lease_denied = 0
@@ -368,14 +361,10 @@ class SessionManager:
         self._sessions: dict[str, ManagedSession] = {}
         self._expired_total = 0
         #: Durable-store state: ids this process demoted (and has not
-        #: rehydrated since), the writer-thread futures (a demotion's
-        #: flush, a delete) a load of the same id must wait on until
-        #: they finish, and the single-flight map of in-progress
+        #: rehydrated since), and the single-flight map of in-progress
         #: rehydrations (event-loop only, like the index cache's
         #: pending builds).
         self._demoted: set[str] = set()
-        self._demote_flushes: dict[str, Future] = {}
-        self._park_lock = threading.Lock()
         self._rehydrating: dict[str, asyncio.Future] = {}
         self._rehydrate_tasks: set[asyncio.Task] = set()
         #: Ids deleted while their rehydration was in flight: the
@@ -389,10 +378,22 @@ class SessionManager:
         #: once :meth:`close` has shut them down a submit raises
         #: ``RuntimeError``: a closed manager stays closed.  Index
         #: builds, replays and speculation run on the build pool.  The
-        #: store pool is the single writer thread every store write
-        #: runs on, so one session's flushes stay ordered, the store
-        #: sees one writer, and a long cold build never delays
-        #: durability.
+        #: store pool is the writer, the one thread that calls the
+        #: store, reads included (the heartbeat's renewals aside), so a
+        #: long cold build never delays durability.  Its order:
+        #: * one session's ops commit in the order they were queued
+        #:   (one writer thread, one drain in flight per session);
+        #: * a store call made after an op was queued runs after that
+        #:   op commits: an op queued while its session's drain is
+        #:   queued or running joins that drain, submitted first;
+        #:   otherwise the op's own drain is submitted first;
+        #: * so a load sees a demotion's journal tail and lease
+        #:   release; a load, ``DELETE`` probe or count sees a queued
+        #:   delete; ``GET /stats`` counts every acknowledged answer;
+        #:   and an answer recorded on a session demoted while it
+        #:   waited for the lock queues like any other, so a load
+        #:   issued after it sees it;
+        #: * :meth:`close` never cancels a queued store job.
         self._build_executor = ThreadPoolExecutor(
             max_workers=build_workers, thread_name_prefix="index-build"
         )
@@ -431,6 +432,12 @@ class SessionManager:
             self._offload_executor, fn, *args
         )
 
+    def _on_writer(self, fn, *args):
+        """Awaitable ``fn(*args)`` on the writer, after every job before it."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._store_executor, fn, *args
+        )
+
     def _heavy_offload(self, fn, *args):
         """Like :meth:`offload` but on the *build* pool — for O(session)
         compute (snapshot replays) that must not crowd out the small
@@ -451,7 +458,7 @@ class SessionManager:
         never fires completion callbacks into a closed loop.
         Speculative branches are aborted first, so shutdown never waits
         on a lookahead whose result nobody will read.  Queued store
-        flushes are **never cancelled** — durability ops already
+        jobs are **never cancelled** — durability ops already
         enqueued always reach the store (with ``wait=False`` they
         complete on the writer thread, joined at interpreter exit).
         """
@@ -520,19 +527,19 @@ class SessionManager:
         """Move a live session to the store (it must be durable).
 
         The in-memory object is dropped immediately; whatever journal
-        ops are still queued flush on the writer thread, and the flush
-        future is parked so a rehydration of the same id waits for the
-        tail to land before loading."""
+        ops are still queued flush on the writer thread, ahead of any
+        later load of the same id (see the writer's order in
+        ``__init__``)."""
         self._drop_speculation(managed)
         del self._sessions[session_id]
-        if self._leasing and managed.lease_epoch is not None:
+        if self._leasing:
             # Trailing op: the lease is handed back only after every
             # journal write queued before it has committed, so the next
-            # owner's acquire-then-load sees the complete tail.
+            # owner's acquire-then-load sees the complete tail.  Queued
+            # even before the acquire commits: the drain releases only
+            # an epoch that was granted.
             self._enqueue_store_op(managed, ("release",))
         self._kick_flush(managed)
-        if managed.store_flush_future is not None:
-            self._park(session_id, managed.store_flush_future)
         self._demoted.add(session_id)
         self._demotions_total += 1
         self._publish_lifecycle(managed, "session_demoted")
@@ -560,8 +567,8 @@ class SessionManager:
 
         Sessions whose lock is held are exempt: a request is actively
         using them, and demoting state a handler holds a reference to
-        would let its (still-succeeding) answer bypass the
-        demotion-flush ordering the next rehydration waits on.  On the
+        would make its (still-succeeding) answer land on a session no
+        longer live.  On the
         server every mutation runs under the session lock with no
         awaits between lookup and acquisition, so this check closes
         the demote-while-referenced race outright."""
@@ -1383,32 +1390,6 @@ class SessionManager:
                 ("checkpoint", self.snapshot(managed), seq),
             )
         self._kick_flush(managed)
-        if (
-            self._sessions.get(managed.session_id) is not managed
-            and managed.store_flush_future is not None
-        ):
-            # This session was demoted (or replaced) while the caller
-            # still held it: on the server, a control demote or a drain
-            # that landed while the answer waited for the session lock.
-            # Re-park the late answer's flush so the next rehydration
-            # waits it out instead of loading a journal missing an
-            # acknowledged answer.
-            self._park(managed.session_id, managed.store_flush_future)
-
-    def _park(self, session_id: str, future: Future) -> None:
-        """Make the next store load of ``session_id`` wait for a
-        writer-thread ``future`` (a demotion's flush, a delete) until
-        it is done; the entry drops itself then, so a session never
-        touched again keeps none."""
-        with self._park_lock:
-            self._demote_flushes[session_id] = future
-
-        def unpark(done: Future) -> None:
-            with self._park_lock:
-                if self._demote_flushes.get(session_id) is done:
-                    del self._demote_flushes[session_id]
-
-        future.add_done_callback(unpark)
 
     def _enqueue_store_op(
         self, managed: ManagedSession, op: tuple
@@ -1424,9 +1405,7 @@ class SessionManager:
             if managed.store_flushing or not managed.store_ops:
                 return
             managed.store_flushing = True
-        managed.store_flush_future = self._store_executor.submit(
-            self._drain_store_ops, managed
-        )
+        self._store_executor.submit(self._drain_store_ops, managed)
 
     def _drain_store_ops(self, managed: ManagedSession) -> None:
         """Flush everything queued for one session (writer thread).
@@ -1551,72 +1530,59 @@ class SessionManager:
         managed.lease_epoch = lease.epoch
 
     def flush_store(self) -> None:
-        """Block until every enqueued store op has committed.
+        """Block until every enqueued store op has committed: kick every
+        live session's drain, then wait for one no-op job on the writer.
 
         The durability barrier of a drain: every server's shutdown and
         ``POST /control/demote`` run it off-loop before they go on.
         Embedders and tests use it before deliberately killing the
         process.  Answers and creates do not wait for it.
         """
-        futures = []
         for managed in list(self._sessions.values()):
             self._kick_flush(managed)
-            if managed.store_flush_future is not None:
-                futures.append(managed.store_flush_future)
-        for future in futures:
-            future.result()
-        self._wait_parked()
+        self._store_executor.submit(lambda: None).result()
 
-    def _wait_parked(self, session_id: str | None = None) -> None:
-        """Block until the parked writer-thread futures (demotion
-        flushes, deletes) of ``session_id``, or of every id, are done,
-        so a store read after this sees their writes."""
-        with self._park_lock:
-            # snapshot: parked futures drop their entries from the
-            # writer thread as they finish
-            if session_id is None:
-                futures = list(self._demote_flushes.values())
-            else:
-                futures = [self._demote_flushes.get(session_id)]
-        for future in futures:
-            if future is not None:
-                future.result()
-
-    def _load_stored(self, session_id: str) -> StoredSession | None:
-        """Fetch a session's recoverable state (worker thread), first
-        waiting out any in-flight demotion flush or delete of the same
-        id, so the load sees the complete journal tail, or no row.
-
-        Under leasing the lease is acquired *before* the load: from the
-        moment it is granted, any late flush from the previous owner is
-        fenced out, so the journal read here is the final word.  A
-        session whose lease has not yet expired (its owner may still be
-        alive) is waited on briefly — the takeover window after a
-        worker SIGKILL — and then refused with 409 rather than served
-        from a contended copy."""
-        self._wait_parked(session_id)
-        if self._leasing:
-            if session_id not in self.store:
-                return None
-            lease = self._acquire_for_rehydrate(session_id)
-            self._rehydrate_epochs[session_id] = lease.epoch
-        return self.store.load(session_id)
-
-    def _acquire_for_rehydrate(self, session_id: str):
+    async def _load_stored(
+        self, session_id: str
+    ) -> tuple[StoredSession | None, int | None]:
+        """A stored session (``None`` if there is none) and the lease
+        epoch granted for it (``None`` outside a fleet), read by a
+        writer job.  Under leasing the job acquires the lease before it
+        loads, fencing out any late flush of the previous owner.  While
+        another owner's lease stands, each writer job makes one attempt
+        and the wait between attempts sleeps on the event loop, holding
+        no pool thread; after twice the TTL the touch is refused with
+        409, never served from a contended copy."""
         deadline = time.time() + self.lease_ttl_seconds * 2.0
         while True:
-            lease = self.store.acquire_lease(
-                session_id, self.owner_id, self.lease_ttl_seconds
-            )
-            if lease is not None:
-                return lease
-            if time.time() >= deadline:
-                self._lease_denied += 1
-                raise Conflict(
-                    f"session {session_id!r} is leased to another "
-                    f"worker; retry shortly"
+            try:
+                return await self._on_writer(
+                    self._acquire_and_load, session_id
                 )
-            time.sleep(min(0.05, self.lease_ttl_seconds / 10.0))
+            except Conflict:
+                if time.time() >= deadline:
+                    self._lease_denied += 1
+                    raise
+            await asyncio.sleep(min(0.05, self.lease_ttl_seconds / 10))
+
+    def _acquire_and_load(
+        self, session_id: str
+    ) -> tuple[StoredSession | None, int | None]:
+        """One load attempt (writer thread); under leasing, raises
+        :class:`Conflict` while another owner's lease stands."""
+        if not self._leasing:
+            return self.store.load(session_id), None
+        if session_id not in self.store:
+            return None, None
+        lease = self.store.acquire_lease(
+            session_id, self.owner_id, self.lease_ttl_seconds
+        )
+        if lease is None:
+            raise Conflict(
+                f"session {session_id!r} is leased to another worker; "
+                f"retry shortly"
+            )
+        return self.store.load(session_id), lease.epoch
 
     def _admit_rehydrated(
         self,
@@ -1625,6 +1591,7 @@ class SessionManager:
         instance_spec: dict[str, Any],
         cache_hit: bool,
         stored: StoredSession,
+        epoch: int | None,
     ) -> ManagedSession:
         managed = self._build(
             session, instance_spec, cache_hit, session_id=session_id
@@ -1632,11 +1599,8 @@ class SessionManager:
         managed.durable = True
         managed.store_seq = stored.journal_seq
         managed.checkpoint_seq = stored.checkpoint_seq
-        if self._leasing:
-            managed.lease_epoch = self._rehydrate_epochs.pop(
-                session_id, None
-            )
-            self._ensure_heartbeat()
+        managed.lease_epoch = epoch
+        self._ensure_heartbeat()
         self._admit(managed)
         self._demoted.discard(session_id)
         self._rehydrated_total += 1
@@ -1650,7 +1614,7 @@ class SessionManager:
         (cache-owned task, same pattern as the index cache's builds:
         cancelling one waiter never abandons the rehydration)."""
         try:
-            stored = await self.offload(self._load_stored, session_id)
+            stored, epoch = await self._load_stored(session_id)
             if stored is None:
                 raise NotFound(f"no session {session_id!r}")
             instance_spec = self._snapshot_instance_spec(stored.payload)
@@ -1665,7 +1629,7 @@ class SessionManager:
                 # Deleted while we were replaying: do not resurrect.
                 raise NotFound(f"no session {session_id!r}")
             managed = self._admit_rehydrated(
-                session_id, session, instance_spec, hit, stored
+                session_id, session, instance_spec, hit, stored, epoch
             )
         except BaseException as exc:
             if not future.done():
@@ -1702,8 +1666,8 @@ class SessionManager:
         """The live session with this id (touches its TTL clock).
 
         With a store attached, a demoted or recoverable session is
-        transparently rehydrated on the worker pools (store read on the
-        preprocessing pool, label replay on the build pool) behind
+        transparently rehydrated off the loop (store read on the
+        writer thread, label replay on the build pool) behind
         per-session single-flight — two concurrent touches of one
         demoted session trigger exactly one replay."""
         self._shed_lease_lost(session_id)
@@ -1735,23 +1699,19 @@ class SessionManager:
     async def delete_async(self, session_id: str) -> None:
         """Drop a session — and, when a store is attached, forget its
         durable state too; unknown ids raise :class:`NotFound`.  The
-        store existence probe for a non-live id is a SQLite read, so it
-        runs on the preprocessing pool rather than stalling the event
-        loop behind the writer thread's store lock mid-commit; it waits
-        for a queued delete of the id, so a second delete raises."""
+        store existence probe for a non-live id is a writer job, so it
+        never stalls the event loop and it sees a queued delete of the
+        id: a second delete raises."""
         if self._delete_live(session_id):
             return
-        if self.store is not None and await self.offload(
-            self._stored, session_id
+        if self.store is not None and await self._on_writer(
+            self.store.__contains__, session_id
         ):
-            self._delete_stored(session_id)
+            # A touch may have rehydrated it while the probe ran.
+            if not self._delete_live(session_id):
+                self._delete_stored(session_id)
             return
         raise NotFound(f"no session {session_id!r}")
-
-    def _stored(self, session_id: str) -> bool:
-        """Store probe, after ``session_id``'s parked writes land."""
-        self._wait_parked(session_id)
-        return session_id in self.store
 
     def _delete_live(self, session_id: str) -> bool:
         """Drop the live session, if any; True when one was dropped."""
@@ -1784,14 +1744,11 @@ class SessionManager:
         )
 
     def _forget_stored(self, session_id: str) -> None:
-        """Queue the store delete behind any in-flight flush (single
-        writer, FIFO) and park it, so a lookup right after the DELETE
-        cannot load the row before it is gone."""
+        """Queue the store delete on the writer, behind any in-flight
+        flush and ahead of every later store call, so a lookup right
+        after the DELETE cannot load the row."""
         self._demoted.discard(session_id)
-        self._park(
-            session_id,
-            self._store_executor.submit(self.store.delete, session_id),
-        )
+        self._store_executor.submit(self.store.delete, session_id)
 
     def list_sessions(self) -> list[ManagedSession]:
         """All live sessions, oldest first."""
@@ -1807,14 +1764,13 @@ class SessionManager:
         the store by this process and rehydrate on touch; *recoverable*
         is every stored session that is not currently live — demoted
         ones plus sessions left by a previous (possibly crashed)
-        process on the same store.  The store read runs on the
-        preprocessing pool — a SQLite scan must not stall the event
-        loop behind the writer thread's store lock mid-commit — after
-        every parked flush and delete, so a deleted id is not counted.
+        process on the same store.  The id scan is a writer job, so it
+        never stalls the event loop and runs after every queued flush
+        and delete: a deleted id is not counted.
         """
         self.sweep()
         stored_ids = (
-            await self.offload(self._stored_ids)
+            await self._on_writer(self.store.session_ids)
             if self.store is not None
             else ()
         )
@@ -1824,11 +1780,6 @@ class SessionManager:
             "recoverable": len(set(stored_ids).difference(self._sessions)),
         }
 
-    def _stored_ids(self) -> list[str]:
-        """Every stored id, read after all parked writes land."""
-        self._wait_parked()
-        return self.store.session_ids()
-
     def __len__(self) -> int:
         return len(self._sessions)
 
@@ -1837,10 +1788,11 @@ class SessionManager:
         return self.index_cache.pending_builds()
 
     async def stats_async(self) -> dict[str, Any]:
-        """Server path for ``GET /stats``: the store's counter scan
-        runs on the preprocessing pool, off the event loop."""
+        """Server path for ``GET /stats``: the store's counter scan is
+        a writer job, off the event loop and after every store op
+        queued before it, so it counts every acknowledged answer."""
         store_stats = (
-            await self.offload(self.store.stats)
+            await self._on_writer(self.store.stats)
             if self.store is not None
             else None
         )
@@ -1849,7 +1801,7 @@ class SessionManager:
     def stats(
         self, _store_stats: dict[str, Any] | None = None
     ) -> dict[str, Any]:
-        """Server-level counters for the stats endpoint."""
+        """Server counters for the stats endpoint (waits for the writer)."""
         self.sweep()
         with self._spec_lock:
             hits, misses = self._spec_hits, self._spec_misses
@@ -1891,11 +1843,11 @@ class SessionManager:
             plan_cache.update(self.plan_cache.stats())
         store: dict[str, Any] = {"enabled": self.store is not None}
         if self.store is not None:
-            store.update(
-                _store_stats
-                if _store_stats is not None
-                else self.store.stats()
-            )
+            if _store_stats is None:
+                _store_stats = self._store_executor.submit(
+                    self.store.stats
+                ).result()
+            store.update(_store_stats)
             store.update(
                 checkpoint_every=self.checkpoint_every,
                 demoted=len(self._demoted),

@@ -26,9 +26,10 @@ exactly like a snapshot resume.
 ``sqlite3``, WAL journal mode): every append/checkpoint is one committed
 transaction, so a process killed mid-flight loses at most the answers
 whose transactions had not yet committed — never a prefix, never a
-corrupt payload.  It is thread-safe behind an internal lock: the
-manager journals from a dedicated writer thread while reads (recovery,
-counts) may come from worker threads or the event loop.
+corrupt payload.  The manager makes every call from its writer
+thread, reads included, except the lease heartbeat's renewals; the
+internal lock keeps the store thread-safe for those and for direct
+callers.
 
 **Leases (the fleet's ownership protocol).**  When several worker
 processes share one store, each durable session is owned by at most one

@@ -273,6 +273,45 @@ def on_server_loop(server, coro, timeout: float = 30.0):
     )
 
 
+def fleet_workers(group: int) -> list[int]:
+    """Pids of the live ``repro.service.fleet_worker`` processes in
+    process group ``group``, read from ``/proc/<pid>/stat`` and
+    ``/proc/<pid>/cmdline`` (empty off Linux)."""
+    if not os.path.isdir("/proc"):  # pragma: no cover - non-Linux
+        return []
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                # "pid (comm) state ppid pgrp ...": comm may hold spaces
+                fields = handle.read().rsplit(b")", 1)[1].split()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+        except OSError:
+            continue  # exited meanwhile
+        if int(fields[2]) == group and b"repro.service.fleet_worker" in argv:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_leaked_fleet_workers():
+    """Fail the suite if a fleet worker process of its own process
+    group outlives the last test, as CI's ``pgrep`` step does.  An
+    orphaned worker keeps its group, so the workers of a ``repro
+    serve`` subprocess whose router died count too; a run from another
+    checkout never does.  Workers exit asynchronously after their
+    SIGTERM, so the check retries for a few seconds first."""
+    yield
+    group = os.getpgrp()
+    deadline = time.monotonic() + 5.0
+    while (workers := fleet_workers(group)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not workers, f"tests leaked fleet worker processes: {workers}"
+
+
 def repro_shm_segments() -> set[str]:
     """Current ``repro_*`` entries in ``/dev/shm`` (empty off-Linux)."""
     directory = "/dev/shm"

@@ -5,6 +5,7 @@ import io
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.relational import Relation, write_csv
 
-from ..conftest import repro_shm_segments
+from ..conftest import fleet_workers, repro_shm_segments
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -341,3 +342,68 @@ class TestServeShutdown:
             store.close()
         assert stored is not None
         assert [label for _, label in stored.payload["labeled"]] == labels
+
+
+def _serve_until_exit(*argv: str) -> tuple[int, str, list[int]]:
+    """Run ``repro serve`` in a process group of its own until it exits;
+    returns its exit code, its stderr and the fleet workers it left in
+    that group (killed before returning)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        _, stderr = server.communicate(timeout=120)
+    finally:
+        left = fleet_workers(server.pid)
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.wait()
+    return server.returncode, stderr.decode(), left
+
+
+FLEET = ("--workers", "2")
+
+
+class TestServeStartupErrors:
+    """A server that cannot start says why in one line: no traceback,
+    and no fleet worker left behind."""
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["solo", "fleet"])
+    def test_busy_port_exits_1_naming_the_address(self, tmp_path, fleet):
+        fleet_args = (*FLEET, "--store", str(tmp_path / "s.db"))
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            code, stderr, left = _serve_until_exit(
+                "--port", str(port), *(fleet_args if fleet else ())
+            )
+        assert code == 1, stderr
+        assert "Traceback" not in stderr
+        assert f"repro serve: cannot listen on 127.0.0.1:{port}: " in stderr
+        assert "address already in use" in stderr
+        assert left == []
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["solo", "fleet"])
+    def test_unusable_store_is_a_usage_error_naming_the_path(
+        self, tmp_path, fleet
+    ):
+        store = tmp_path / "missing" / "s.db"
+        code, stderr, left = _serve_until_exit(
+            "--port", "0", "--store", str(store), *(FLEET if fleet else ())
+        )
+        assert code == 2, stderr
+        assert "Traceback" not in stderr
+        assert f"cannot open --store {store}: " in stderr
+        assert left == []

@@ -246,6 +246,42 @@ def leased_manager(store, owner, **kwargs):
     return make_manager(store=store, owner_id=owner, **kwargs)
 
 
+#: Every store method a leasing manager calls.
+_STORE_CALLS = (
+    "put_checkpoint",
+    "append_answers",
+    "acquire_lease",
+    "renew_lease",
+    "release_lease",
+    "load",
+    "delete",
+    "session_ids",
+    "__contains__",
+    "stats",
+)
+
+
+class RecordingStore(SqliteSessionStore):
+    """Records ``(method, thread name)`` for every call in
+    ``_STORE_CALLS``."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.calls: list[tuple[str, str]] = []
+
+
+def _recorded(name):
+    def call(self, *args, **kwargs):
+        self.calls.append((name, threading.current_thread().name))
+        return getattr(SqliteSessionStore, name)(self, *args, **kwargs)
+
+    return call
+
+
+for _name in _STORE_CALLS:
+    setattr(RecordingStore, _name, _recorded(_name))
+
+
 class TestManagerLeasing:
     def test_create_acquires_and_demote_releases(self, tmp_path):
         store = SqliteSessionStore(str(tmp_path / "s.db"))
@@ -269,6 +305,107 @@ class TestManagerLeasing:
         released = store.lease_of(managed.session_id)
         assert released.expired()
         manager.close(wait=True)
+        store.close()
+
+    def test_demote_before_the_acquire_commits_releases_the_lease(
+        self, tmp_path
+    ):
+        """A demote that lands before the writer has run the session's
+        lease acquire (an eviction or a drain right after a create)
+        still hands the lease back, so a successor need not wait out
+        the TTL."""
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
+        manager = leased_manager(store, "w0", lease_ttl_seconds=TTL)
+        writer_free = threading.Event()
+        manager._store_executor.submit(writer_free.wait, 10)
+        try:
+            managed = asyncio.run(
+                manager.create_async(
+                    inline_spec(boundary_instance(2, 2, rows=4, seed=6))
+                )
+            )
+            manager.demote(managed.session_id)
+        finally:
+            writer_free.set()
+        manager.flush_store()
+        lease = store.lease_of(managed.session_id)
+        assert (lease.owner, lease.epoch) == ("w0", 1)
+        assert lease.expired()
+        manager.close(wait=True)
+        store.close()
+
+    def test_every_store_call_runs_on_the_writer(self, tmp_path):
+        """Outside the heartbeat's renewals, the manager calls its store
+        only from its writer thread: the one store order every load,
+        probe and count is read in."""
+        store = RecordingStore(str(tmp_path / "s.db"))
+        manager = leased_manager(store, "w0", lease_ttl_seconds=0.3)
+
+        async def scenario():
+            managed = await manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=5, seed=7), "BU")
+            )
+            sid = managed.session_id
+            drive(manager, managed, BiasedCoin(2), limit=2)
+            manager.demote(sid)
+            rehydrated = await manager.get_async(sid)
+            drive(manager, rehydrated, BiasedCoin(3), limit=1)
+            await asyncio.sleep(0.25)  # the heartbeat renews meanwhile
+            manager.demote(sid)
+            await manager.delete_async(sid)
+            counts = await manager.session_counts_async()
+            stats = await manager.stats_async()
+            return counts, stats
+
+        counts, stats = asyncio.run(scenario())
+        manager.close(wait=True)
+        assert counts == {"live": 0, "demoted": 0, "recoverable": 0}
+        assert stats["store"]["journal_appends"] == 3
+        assert {name for name, _ in store.calls} == set(_STORE_CALLS)
+        strays = [
+            (name, thread)
+            for name, thread in store.calls
+            if not thread.startswith(
+                "lease-heartbeat" if name == "renew_lease" else "session-store"
+            )
+        ]
+        assert strays == []
+        store.close()
+
+    def test_takeover_wait_holds_no_pool_thread(self, tmp_path):
+        """Sessions waiting out a dead owner's lease sleep on the event
+        loop between acquire attempts: request preprocessing (CSV
+        parsing, fingerprints, plan-cache probes) keeps its pool."""
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
+        dead = leased_manager(store, "w0", lease_ttl_seconds=1.5)
+        sids = [
+            asyncio.run(
+                dead.create_async(
+                    inline_spec(boundary_instance(2, 2, rows=4, seed=seed))
+                )
+            ).session_id
+            for seed in (8, 9)
+        ]
+        dead.flush_store()
+        dead.close(wait=True)  # its leases stand until they expire
+        survivor = leased_manager(store, "w1", lease_ttl_seconds=1.5)
+
+        async def scenario():
+            touches = [
+                asyncio.ensure_future(survivor.get_async(sid))
+                for sid in sids
+            ]
+            await asyncio.sleep(0.2)  # both takeovers are waiting
+            queued = time.monotonic()
+            ran = await survivor.offload(time.monotonic)
+            recovered = await asyncio.gather(*touches)
+            return ran - queued, recovered
+
+        waited, recovered = asyncio.run(scenario())
+        assert waited < 0.5
+        assert [managed.session_id for managed in recovered] == sids
+        assert [store.lease_of(sid).epoch for sid in sids] == [2, 2]
+        survivor.close(wait=True)
         store.close()
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):

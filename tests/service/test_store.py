@@ -97,6 +97,14 @@ class _SlowDeleteStore(SqliteSessionStore):
         super().delete(session_id)
 
 
+class _SlowAppendStore(SqliteSessionStore):
+    """Journal appends take 0.3 s, standing in for a busy writer."""
+
+    def append_answers(self, session_id, entries, *, fence=None):
+        time.sleep(0.3)
+        super().append_answers(session_id, entries, fence=fence)
+
+
 class BiasedCoin:
     """Mostly-negative seeded answers — long sessions, both polarities."""
 
@@ -370,6 +378,26 @@ class TestManagerJournaling:
             tmp_path, lambda manager, _: manager.session_counts_async()
         )
         assert counts == {"live": 0, "demoted": 0, "recoverable": 0}
+
+    def test_stats_right_after_an_answer_count_its_append(self, tmp_path):
+        """``GET /stats`` reads the store's counters behind every op
+        queued before it, so an acknowledged answer is counted even
+        while its journal append is still being written."""
+        store = _SlowAppendStore(str(tmp_path / "s.db"))
+        manager = make_manager(store=store)
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+            )
+        )
+        manager.flush_store()
+        try:
+            drive(manager, managed, BiasedCoin(1), limit=1)
+            stats = asyncio.run(manager.stats_async())
+            assert stats["store"]["journal_appends"] == 1
+        finally:
+            manager.close(wait=True)
+            store.close()
 
     def test_closed_manager_takes_no_work(self, tmp_path):
         """``close()`` is terminal: a lookup afterwards raises instead of
@@ -668,22 +696,21 @@ class TestDemoteRehydrate:
 
     def test_delete_during_rehydration_is_not_resurrected(self, tmp_path):
         """DELETE racing an in-flight rehydration must win: the replay
-        finishes but is never admitted, and the waiter sees 404."""
-        import threading as _threading
-
-        class SlowLoadStore(SqliteSessionStore):
-            def __init__(self, path):
-                super().__init__(path)
-                self.loading = _threading.Event()
-                self.release = _threading.Event()
-
-            def load(self, session_id):
-                self.loading.set()
-                self.release.wait(timeout=10)
-                return super().load(session_id)
-
-        store = SlowLoadStore(str(tmp_path / "s.db"))
+        finishes but is never admitted, and the waiter sees 404.  The
+        replay is held, not the load: the DELETE's store probe queues
+        on the writer behind the load."""
+        store = SqliteSessionStore(str(tmp_path / "s.db"))
         manager = make_manager(store=store)
+        replaying = threading.Event()
+        release = threading.Event()
+        resume = manager._resume_session
+
+        def slow_resume(*args):
+            replaying.set()
+            release.wait(timeout=10)
+            return resume(*args)
+
+        manager._resume_session = slow_resume
         instance = boundary_instance(2, 2, rows=4, seed=16)
         managed = asyncio.run(
             manager.create_async(inline_spec(instance, "TD", seed=9))
@@ -695,12 +722,58 @@ class TestDemoteRehydrate:
             touch = asyncio.ensure_future(
                 manager.get_async(session_id)
             )
-            while not store.loading.is_set():
+            while not replaying.is_set():
                 await asyncio.sleep(0.01)
             await manager.delete_async(session_id)  # row + tombstone
-            store.release.set()
+            release.set()
             with pytest.raises(NotFound):
                 await touch
+
+        asyncio.run(scenario())
+        assert len(manager) == 0
+        manager.close(wait=True)
+        assert session_id not in store
+        store.close()
+
+    def test_delete_outlives_a_rehydration_admitted_during_its_probe(
+        self, tmp_path
+    ):
+        """A DELETE whose store probe is still running when a touch
+        admits the rehydrated session deletes that live copy too."""
+
+        class SlowProbeStore(SqliteSessionStore):
+            def __init__(self, path):
+                super().__init__(path)
+                self.loading = threading.Event()
+
+            def load(self, session_id):
+                self.loading.set()
+                return super().load(session_id)
+
+            def __contains__(self, session_id):
+                time.sleep(0.3)
+                return super().__contains__(session_id)
+
+        store = SlowProbeStore(str(tmp_path / "s.db"))
+        manager = make_manager(store=store)
+        instance = boundary_instance(2, 2, rows=4, seed=18)
+        managed = asyncio.run(
+            manager.create_async(inline_spec(instance, "TD", seed=9))
+        )
+        manager.demote(managed.session_id)
+        session_id = managed.session_id
+
+        async def scenario():
+            touch = asyncio.ensure_future(manager.get_async(session_id))
+            while not store.loading.is_set():
+                await asyncio.sleep(0.001)
+            await manager.delete_async(session_id)
+            try:
+                await touch  # admitted while the probe ran...
+            except NotFound:
+                pass  # ...or, on a slow host, refused by the tombstone
+            with pytest.raises(NotFound):
+                await manager.get_async(session_id)
 
         asyncio.run(scenario())
         assert len(manager) == 0
