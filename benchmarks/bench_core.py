@@ -15,7 +15,9 @@ tracked from one PR to the next with a fixed baseline:
                          paper's most expensive configuration, §5.3).
 
 Every cell checks bit-for-bit parity between baseline and new engine
-before timing, so a speedup never hides a behaviour change.
+before timing, so a speedup never hides a behaviour change.  The report
+holds measurements only; the speedup floor is a row of the gate table
+in ``check_trajectory.py``.
 
 Usage::
 
@@ -293,10 +295,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
                 lambda cell: smoke
                 or cell["params"]["product_size"] >= 100_000,
             ),
-            "targets": {
-                "l2s_full_session": 5.0,
-                "index_build": 2.0,
-            },
         },
     }
     return report
@@ -326,12 +324,6 @@ def main(argv=None) -> int:
             f"new {cell['new_seconds']*1e3:9.1f}ms   "
             f"speedup {cell['speedup']:6.2f}x"
         )
-    acceptance = report["acceptance"]
-    print(
-        "acceptance: "
-        f"L2S full-session ≥5x → {acceptance['l2s_full_session_speedup_min']}, "
-        f"index build ≥2x → {acceptance['index_build_speedup_min']}"
-    )
     return 0
 
 

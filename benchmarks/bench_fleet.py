@@ -5,15 +5,9 @@ Measures what the multi-process fleet buys and what recovery costs:
 * ``scaling`` — the same interactive TPC-H serving load (all five
   serving strategies, ``CLIENT_THREADS`` concurrent clients, durable
   store journaling every answer) driven through fleets of 1, 2 and 4
-  workers; reports sessions/sec per worker count.  The gate is
-  **core-aware**: on an M-core machine W workers cannot scale past
-  min(W, M), so the scaling gate applies to the largest measured fleet
-  that *fits the cores* (floor ``0.75 × W`` there — the ≥3× target at
-  4 workers on ≥4-core hardware) while oversubscribed fleets (W > M,
-  every extra worker is pure process overhead on the same cores) are
-  measured and held only to a bounded-collapse floor.  ``cpu_count``
-  is recorded in the report so the CI gate reads the machine the
-  numbers came from.
+  workers; reports sessions/sec per worker count.  ``meta.cpu_count``
+  records the machine the numbers came from: W workers cannot scale
+  past min(W, cores).
 * ``recovery`` — a 2-worker fleet loses one worker to ``kill -9``
   mid-session; reports the wall-clock from the kill to the victim
   session's next *successfully recorded answer* on a survivor (lease
@@ -22,20 +16,21 @@ Measures what the multi-process fleet buys and what recovery costs:
 * ``shared_index`` — what the zero-copy shared-memory index plane
   buys on the row-scaled largest Fig. 7 configuration: total
   index-resident bytes across a fleet vs the single-process figure
-  (one machine-wide copy: ratio ≈ 1.0, gated ≤ 1.5), and the p95 of a
-  warm-fleet cold create resolved by *attaching* a sibling's segment
-  vs one resolved by a private build.  Each timed create is classified
+  (one machine-wide copy: ratio ≈ 1.0), and the p95 of a warm-fleet
+  cold create resolved by *attaching* a sibling's segment vs one
+  resolved by a private build.  Each timed create is classified
   attach/build/warm from the per-slot counter deltas on ``GET
-  /fleet``, and the cell ends with a leaked-segment sweep.  Both
-  gates are core-count-independent, so they hold on a 1-core runner.
+  /fleet``, and the cell ends with a leaked-segment sweep.
 * ``plan_cache`` — cross-worker reuse through the machine-wide plan
   cache: one full L2S session per slot over the same instance and
   seed, so the second slot rides the first slot's published entropy
-  tables.  The aggregated ``GET /fleet`` counters must show shared-
-  tier hits > 0 and the cell ends with a ``repro_plan_*`` leak sweep.
+  tables.  The cell reports the aggregated ``GET /fleet`` shared-tier
+  hits and ends with a ``repro_plan_*`` leak sweep.
 
 Every timed session's final predicate is parity-checked against the
-in-process ``run_inference`` result before timings are trusted.
+in-process ``run_inference`` result before timings are trusted.  The
+report holds measurements only; every bound on them is a row of the
+gate table in ``check_trajectory.py``.
 
 Usage::
 
@@ -83,11 +78,6 @@ TPCH_SEED = 0
 TPCH_SCALE = 1.0
 CLIENT_THREADS = 8
 STRATEGIES = ["RND", "BU", "TD", "L1S", "L2S"]
-SCALING_FLOOR_FACTOR = 0.75
-#: A fleet oversubscribing its cores (4 workers on 1 core: 4 index
-#: builds, 4 interpreters, same CPU) is allowed to cost throughput,
-#: but not to collapse past 4x vs a single worker.
-OVERSUBSCRIPTION_FLOOR = 0.25
 RECOVERY_LEASE_TTL = 1.0
 #: The shared-index cell runs the largest Fig. 7 configuration,
 #: row-scaled exactly as ``bench_plan`` scales it: ``synthetic/0`` at
@@ -96,23 +86,6 @@ RECOVERY_LEASE_TTL = 1.0
 SHARED_INDEX_WORKLOAD = "synthetic/0"
 SHARED_INDEX_SCALE = 24.0
 SHARED_INDEX_SCALE_SMOKE = 8.0
-#: A W-worker fleet maps ONE machine-wide copy of each segment, so its
-#: total resident index bytes must stay within noise of the
-#: single-process figure — far under W copies.
-SHARED_MEMORY_RATIO_MAX = 1.5
-#: Smoke indexes are tiny (~1 KB), so the flat buffer's fixed 128-byte
-#: header plus 16-byte array alignment is a large slice of every
-#: segment, and all ``seeds`` distinct segments can end up mapped by
-#: one worker.  The canary ceiling is relaxed accordingly; the 1.5x
-#: bound applies to the full-size run.
-SHARED_MEMORY_RATIO_MAX_SMOKE = 3.0
-#: Attaching a published segment skips the |R|x|P| product walk; on the
-#: full-size config the p95 warm-fleet cold create must be >= 5x faster
-#: than a private build.  Smoke builds are ~6x smaller, so HTTP
-#: round-trip overhead is a larger slice of the create; the canary
-#: floor is relaxed accordingly.
-SHARED_ATTACH_SPEEDUP_FLOOR = 5.0
-SHARED_ATTACH_SPEEDUP_FLOOR_SMOKE = 1.5
 #: The smoke times a cold create per seed on each side (a private build
 #: on the single worker, an attach on the fleet), so it needs 20 seeds
 #: for a p95 that is the 19th of 20 samples rather than one side's
@@ -205,7 +178,6 @@ def bench_scaling(
         "workload": "tpch/join4",
         "strategies": STRATEGIES,
         "client_threads": CLIENT_THREADS,
-        "cpu_count": os.cpu_count() or 1,
         "by_workers": by_workers,
         "parity_checked": True,
     }
@@ -326,7 +298,7 @@ def bench_shared_index(workers: int, seeds: int, db_dir: str, smoke: bool) -> di
 
     The memory reference is a *single-worker* fleet with the plane on:
     one machine-wide flat segment per index, same encoding as the fleet
-    side.  The gated ratio therefore isolates what the plane claims —
+    side.  The ratio therefore isolates what the plane claims —
     N workers hold one copy, not N — instead of comparing flat-buffer
     bytes against heap numpy bytes, which at canary index sizes is
     dominated by the segment header and alignment padding, not by
@@ -589,97 +561,29 @@ def run_benchmarks(smoke: bool = False) -> dict:
         )
         plan_cache = bench_plan_cache_fleet(db_dir, smoke)
 
-    cpu_count = scaling["cpu_count"]
     workers_max = worker_counts[-1]
     by_workers = scaling["by_workers"]
-    single = by_workers["1"]["sessions_per_sec"]
-    at_max = by_workers[str(workers_max)]["sessions_per_sec"]
-    # On an M-core machine W workers can't scale past min(W, M): the
-    # scaling gate applies to the largest measured fleet that fits the
-    # cores (the >= 3x-at-4-workers target on >= 4-core hardware; on a
-    # 1-core runner it degenerates to the single-worker identity) and
-    # oversubscribed fleets are held to the bounded-collapse floor.
-    workers_gated = max(w for w in worker_counts if w <= cpu_count)
-    at_gated = by_workers[str(workers_gated)]["sessions_per_sec"]
-    speedup_gated = round(at_gated / single, 3)
-    speedup_max = round(at_max / single, 3)
-    floor = round(SCALING_FLOOR_FACTOR * workers_gated, 3)
-    supported = shared_index.get("supported", False)
-    attach_floor = (
-        SHARED_ATTACH_SPEEDUP_FLOOR_SMOKE
-        if smoke
-        else SHARED_ATTACH_SPEEDUP_FLOOR
-    )
-    memory_ratio_max = (
-        SHARED_MEMORY_RATIO_MAX_SMOKE if smoke else SHARED_MEMORY_RATIO_MAX
-    )
-    memory_ratio = shared_index.get("memory_ratio")
-    attach_speedup = shared_index.get("attach_speedup_p95")
     return {
         "meta": bench_meta(
-            smoke=smoke,
-            transport="HTTP/1.1 keep-alive over loopback",
-            cpu_count=cpu_count,
+            smoke=smoke, transport="HTTP/1.1 keep-alive over loopback"
         ),
         "scaling": scaling,
         "recovery": recovery,
         "shared_index": shared_index,
         "plan_cache": plan_cache,
         "acceptance": {
-            "cpu_count": cpu_count,
             "workers_max": workers_max,
-            "workers_gated": workers_gated,
-            "sessions_per_sec_single": single,
-            "sessions_per_sec_max_workers": at_max,
-            "sessions_per_sec_gated_workers": at_gated,
-            "speedup_vs_single": speedup_max,
-            "speedup_at_gated_workers": speedup_gated,
-            "scaling_floor": floor,
-            "scaling_floor_factor": SCALING_FLOOR_FACTOR,
-            "scaling_gate": speedup_gated >= floor,
-            "oversubscription_floor": OVERSUBSCRIPTION_FLOOR,
-            "oversubscription_gate": (
-                speedup_max >= OVERSUBSCRIPTION_FLOOR
-            ),
+            "sessions_per_sec_single": by_workers["1"]["sessions_per_sec"],
+            "sessions_per_sec_max_workers": by_workers[str(workers_max)][
+                "sessions_per_sec"
+            ],
             "takeover_seconds": recovery["takeover_seconds"],
             "lease_ttl_seconds": recovery["lease_ttl_seconds"],
             "recovery_parity": recovery["parity_checked"],
             "scaling_parity": scaling["parity_checked"],
-            # An unsupported platform (no POSIX shared memory) degrades
-            # to private builds by design; the gates then hold trivially.
-            "shared_index_supported": supported,
-            "shared_memory_ratio": memory_ratio,
-            "shared_memory_ratio_max": memory_ratio_max,
-            "shared_memory_gate": (
-                not supported
-                or (
-                    memory_ratio is not None
-                    and memory_ratio <= memory_ratio_max
-                )
-            ),
-            "shared_attach_speedup_p95": attach_speedup,
-            "shared_attach_speedup_floor": attach_floor,
-            "shared_attach_gate": (
-                not supported
-                or (
-                    attach_speedup is not None
-                    and attach_speedup >= attach_floor
-                )
-            ),
-            "shared_no_leaked_segments": (
-                not shared_index.get("leaked_segments", [])
-            ),
-            "plan_cache_supported": plan_cache.get("supported", False),
-            "plan_shared_hits_total": plan_cache.get(
-                "shared_hits_total", 0
-            ),
-            "plan_cross_worker_gate": (
-                not plan_cache.get("supported", False)
-                or plan_cache.get("shared_hits_total", 0) >= 1
-            ),
-            "plan_no_leaked_segments": (
-                not plan_cache.get("leaked_segments", [])
-            ),
+            "shared_index_supported": shared_index["supported"],
+            "plan_cache_supported": plan_cache["supported"],
+            "plan_shared_hits_total": plan_cache.get("shared_hits_total", 0),
         },
     }
 
@@ -705,50 +609,28 @@ def main(argv=None) -> int:
     print(f"wrote {output}")
     acceptance = report["acceptance"]
     print(
-        f"  {acceptance['workers_gated']} workers (core-fitting): "
-        f"{acceptance['speedup_at_gated_workers']}x vs single "
-        f"(floor {acceptance['scaling_floor']}x on "
-        f"{acceptance['cpu_count']} cores); "
-        f"{acceptance['workers_max']} workers: "
-        f"{acceptance['speedup_vs_single']}x"
+        f"  sessions/s on {report['meta']['cpu_count']} cores: "
+        + ", ".join(
+            f"{workers} worker(s) {cell['sessions_per_sec']}"
+            for workers, cell in report["scaling"]["by_workers"].items()
+        )
     )
     print(
         f"  kill -9 takeover {acceptance['takeover_seconds']}s "
         f"(lease TTL {acceptance['lease_ttl_seconds']}s)"
     )
-    if acceptance["shared_index_supported"]:
+    shared = report["shared_index"]
+    if shared["supported"]:
         print(
-            f"  shared index: memory ratio "
-            f"{acceptance['shared_memory_ratio']} "
-            f"(max {acceptance['shared_memory_ratio_max']}), attach "
-            f"p95 speedup {acceptance['shared_attach_speedup_p95']}x "
-            f"(floor {acceptance['shared_attach_speedup_floor']}x)"
+            f"  shared index: memory ratio {shared['memory_ratio']}, "
+            f"attach p95 speedup {shared['attach_speedup_p95']}x"
         )
     if acceptance["plan_cache_supported"]:
         print(
             f"  plan cache: {acceptance['plan_shared_hits_total']} "
             f"cross-worker shared hits"
         )
-    gates = [
-        ("scaling_gate", acceptance["scaling_gate"]),
-        ("oversubscription_gate", acceptance["oversubscription_gate"]),
-        ("recovery_parity", acceptance["recovery_parity"]),
-        ("scaling_parity", acceptance["scaling_parity"]),
-        ("shared_memory_gate", acceptance["shared_memory_gate"]),
-        ("shared_attach_gate", acceptance["shared_attach_gate"]),
-        (
-            "shared_no_leaked_segments",
-            acceptance["shared_no_leaked_segments"],
-        ),
-        ("plan_cross_worker_gate", acceptance["plan_cross_worker_gate"]),
-        (
-            "plan_no_leaked_segments",
-            acceptance["plan_no_leaked_segments"],
-        ),
-    ]
-    for name, ok in gates:
-        print(f"acceptance: {name} → {'OK' if ok else 'FAIL'}")
-    return 0 if all(ok for _, ok in gates) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,13 +20,12 @@ Measures what the cross-step planner refactor is for:
   its entropy table) vs warm (every step is a plan-cache hit): two
   identical adversarial L2S sessions on one manager over the largest
   Figure 7 configuration, question sequences asserted identical before
-  any timing is trusted.  The warm p95 must sit at least 3× below the
-  cold p95.
+  any timing is trusted.
+* ``batched_kernels`` — cross-session batched L1S/L2S kernels vs the
+  per-session planners over one shared index.
 
-The acceptance gate (also enforced by CI on the smoke run): incremental
-full-session L2S wall-clock ≤ the from-scratch path on the largest
-Figure 7 configuration; on full runs additionally the speculation p95
-must beat the no-speculation baseline.
+The report holds measurements only; every bound on them is a row of
+the gate table in ``check_trajectory.py``.
 
 Usage::
 
@@ -74,11 +73,6 @@ from bench_util import bench_meta, latency_summary
 #: that, per-step matrices are so small that incremental-vs-scratch
 #: differences drown in fixed numpy call overhead.
 LARGEST_FIG7 = SyntheticConfig(3, 3, 2400, 100)
-
-#: Wall-clock gates on shared CI runners need a measurement tolerance;
-#: the incremental path must stay within this factor of from-scratch
-#: (it is expected *below* 1.0 — see the committed BENCH_plan.json).
-L2S_GATE_TOLERANCE = 1.10
 
 #: A larger synthetic stress configuration (|N| ≈ 700) showing the
 #: asymptotic benefit; not part of Figure 7, not part of the gate.
@@ -322,18 +316,6 @@ def bench_speculation(max_questions, think_seconds) -> dict:
 
 # --- plan-cache cell ---------------------------------------------------------
 
-#: A warm (memoised) question must beat the cold compute by at least
-#: this factor at p95 on the largest Fig. 7 configuration — the cache
-#: replaces a depth-2 kernel sweep with a dictionary lookup, so the
-#: committed full run measures far above it.  The smoke run keeps a
-#: noise margin: its p95 sits on the session's first (largest) steps,
-#: where propose overhead outside the memoised kernel is a bigger
-#: share of the round; the checker clamps the floor so a report
-#: cannot weaken it below the smoke value.
-PLAN_CACHE_GATE_MIN = 3.0
-PLAN_CACHE_GATE_MIN_SMOKE = 1.5
-
-
 def bench_plan_cache(max_questions) -> dict:
     """Cold vs warm answer→question latency through the plan cache.
 
@@ -410,17 +392,6 @@ def bench_plan_cache(max_questions) -> dict:
 #: ``IncrementalLookaheadPlanner.export_batch_job``.
 L2S_BAND = (SyntheticConfig(3, 3, 100, 20), 2, 40)
 L1S_BAND = (SyntheticConfig(4, 4, 100, 20), 1, 400)
-
-#: The kernel-segment speedup the committed full run must clear; the
-#: committed BENCH_plan.json measures well above it.
-BATCHED_KERNEL_GATE_MIN = 2.0
-BATCHED_KERNEL_GATE_MIN_SMOKE = 1.3
-
-#: Aggregate answers/s with batching must never regress below this
-#: fraction of the per-session path (the end-to-end ratio is diluted
-#: by the non-kernel answer cost — record/advance/skyline — which both
-#: modes pay identically).
-BATCHED_THROUGHPUT_FLOOR = 0.9
 
 
 def _band_sessions(config, depth, seeds, target_max):
@@ -593,7 +564,7 @@ def run_benchmarks(smoke: bool = False) -> dict:
     plan_cache = bench_plan_cache(16 if smoke else 48)
 
     largest = next(c for c in sessions if c["config"] == largest_label)
-    # The gate compares *full-length* sessions (the adversarial oracle
+    # The L2S numbers are *full-length* sessions (the adversarial oracle
     # runs the informative set down one class at a time — every other
     # oracle collapses it in a handful of questions, leaving nothing to
     # reuse across steps and nothing meaningful to time).
@@ -606,31 +577,14 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "plan_cache": plan_cache,
         "acceptance": {
             "largest_fig7_config": largest_label,
-            "gate_scope": "full-length (adversarial-oracle) sessions",
             "l2s_incremental_ms": l2s["incremental_ms"],
             "l2s_from_scratch_ms": l2s["from_scratch_ms"],
-            "l2s_strictly_below": (
-                l2s["incremental_ms"] <= l2s["from_scratch_ms"]
-            ),
-            "l2s_gate_tolerance": L2S_GATE_TOLERANCE,
-            "l2s_gate": (
-                l2s["incremental_ms"]
-                <= l2s["from_scratch_ms"] * L2S_GATE_TOLERANCE
-            ),
             "speculation_p95_with_ms": speculation["with_speculation"][
                 "answer_round_latency"
             ]["p95_ms"],
             "speculation_p95_without_ms": speculation[
                 "without_speculation"
             ]["answer_round_latency"]["p95_ms"],
-            "speculation_gate": (
-                speculation["with_speculation"]["answer_round_latency"][
-                    "p95_ms"
-                ]
-                < speculation["without_speculation"][
-                    "answer_round_latency"
-                ]["p95_ms"]
-            ),
             "speculation_hit_ratio": speculation["with_speculation"][
                 "speculation"
             ]["hit_ratio"],
@@ -640,52 +594,12 @@ def run_benchmarks(smoke: bool = False) -> dict:
             "per_session_kernel_seconds": batched_kernels["per_session"][
                 "kernel_seconds"
             ],
-            "batched_kernel_segment_speedup": batched_kernels[
-                "kernel_segment_speedup"
-            ],
-            "batched_kernel_gate_min": (
-                BATCHED_KERNEL_GATE_MIN_SMOKE
-                if smoke
-                else BATCHED_KERNEL_GATE_MIN
-            ),
-            "batched_kernel_gate": (
-                batched_kernels["kernel_segment_speedup"]
-                >= (
-                    BATCHED_KERNEL_GATE_MIN_SMOKE
-                    if smoke
-                    else BATCHED_KERNEL_GATE_MIN
-                )
-            ),
-            "batched_answer_throughput_ratio": batched_kernels[
-                "answer_throughput_ratio"
-            ],
-            "batched_throughput_floor": BATCHED_THROUGHPUT_FLOOR,
-            "batched_throughput_gate": (
-                batched_kernels["answer_throughput_ratio"]
-                >= BATCHED_THROUGHPUT_FLOOR
-            ),
             "plan_cache_cold_p95_ms": plan_cache[
                 "cold_question_latency"
             ]["p95_ms"],
             "plan_cache_warm_p95_ms": plan_cache[
                 "warm_question_latency"
             ]["p95_ms"],
-            "plan_cache_p95_speedup": plan_cache["p95_speedup"],
-            "plan_cache_gate_min": (
-                PLAN_CACHE_GATE_MIN_SMOKE
-                if smoke
-                else PLAN_CACHE_GATE_MIN
-            ),
-            "plan_cache_gate": (
-                plan_cache["p95_speedup"]
-                >= (
-                    PLAN_CACHE_GATE_MIN_SMOKE
-                    if smoke
-                    else PLAN_CACHE_GATE_MIN
-                )
-            ),
-            # Raw counters so the trajectory checker re-derives the
-            # identity instead of trusting a pass/fail bool.
             "plan_cache_misses": plan_cache["plan_cache"]["misses"],
             "plan_cache_local_hits": plan_cache["plan_cache"][
                 "local_hits"
@@ -749,18 +663,7 @@ def main(argv=None) -> int:
         f"p95 {plan_cache['warm_question_latency']['p95_ms']}ms "
         f"({plan_cache['p95_speedup']}x)"
     )
-    acceptance = report["acceptance"]
-    gates = [
-        ("l2s_gate", acceptance["l2s_gate"]),
-        ("batched_kernel_gate", acceptance["batched_kernel_gate"]),
-        ("batched_throughput_gate", acceptance["batched_throughput_gate"]),
-        ("plan_cache_gate", acceptance["plan_cache_gate"]),
-    ]
-    if not report["meta"]["smoke"]:
-        gates.append(("speculation_gate", acceptance["speculation_gate"]))
-    for name, ok in gates:
-        print(f"acceptance: {name} → {'OK' if ok else 'FAIL'}")
-    return 0 if all(ok for _, ok in gates) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ a shared, cached, concurrent serving layer.
 Every session is parity-checked against the in-process
 ``run_inference`` result for the same strategy/seed before timings are
 trusted — a fast server that infers the wrong predicate is not a win.
+The report holds measurements only; every bound on them is a row of
+the gate table in ``check_trajectory.py``.
 
 Usage::
 
@@ -303,9 +305,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
     )
     batched_sessions = bench_batched_sessions(sweep_sessions)
 
-    histogram = batched_sessions["batched"]["kernel_batch"][
-        "batch_size_histogram"
-    ]
     return {
         "meta": bench_meta(
             smoke=smoke, transport="HTTP/1.1 keep-alive over loopback"
@@ -314,17 +313,12 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "l2s_fig7": l2s_cells,
         "batched_sessions": batched_sessions,
         "acceptance": {
-            "index_cache_hit_ratio": serving["index_cache"]["hit_ratio"],
-            "index_cache_hit_ratio_target": 0.9,
             "l2s_p95_answer_ms_max": max(
                 cell["answer_latency"]["p95_ms"] for cell in l2s_cells
             ),
             "batched_throughput_ratio": batched_sessions[
                 "throughput_ratio"
             ],
-            "batched_max_coalesced": max(
-                (int(size) for size in histogram), default=0
-            ),
             "speculation_depth": serving["speculation"]["depth"],
             "speculation_hit_ratio_by_depth": serving["speculation"][
                 "hit_ratio_by_depth"
@@ -377,17 +371,7 @@ def main(argv=None) -> int:
         f"({sweep['throughput_ratio']}x), histogram "
         f"{sweep['batched']['kernel_batch']['batch_size_histogram']}"
     )
-    acceptance = report["acceptance"]
-    ok = (
-        acceptance["index_cache_hit_ratio"]
-        > acceptance["index_cache_hit_ratio_target"]
-    )
-    print(
-        f"acceptance: cache hit ratio "
-        f"{acceptance['index_cache_hit_ratio']} > 0.9 → "
-        f"{'OK' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":

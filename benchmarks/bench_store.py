@@ -5,10 +5,9 @@ Measures what the persistence layer costs and what it buys:
 * ``journal_overhead`` — the serving benchmark's concurrent-session
   cell (≥ 64 interactive TPC-H sessions, 16 client threads, one cached
   index) run twice: without a store and with a SQLite WAL store
-  journaling every answer.  The gate: answer p95 with journaling stays
-  within **15 %** of the store-less run — journal writes are batched
-  off the event loop behind per-session single-flight, so the answer
-  path never waits on a disk transaction.
+  journaling every answer; journal writes are batched off the event
+  loop behind per-session single-flight, so the answer path never
+  waits on a disk transaction.
 * ``rehydrate`` — p50/p95 wall-clock of touching a demoted session:
   load checkpoint + journal tail from SQLite and replay it through
   propose/answer on the build pool.
@@ -19,7 +18,10 @@ Measures what the persistence layer costs and what it buys:
   recover wall-clock.
 
 Every timed session is parity-checked against the in-process
-``run_inference`` result before timings are trusted.
+``run_inference`` result before timings are trusted.  The report holds
+measurements only; every bound on them (the answer-p95 overhead of
+journaling included) is a row of the gate table in
+``check_trajectory.py``.
 
 Usage::
 
@@ -64,7 +66,6 @@ from bench_util import bench_meta, drive_session, latency_summary
 TPCH_SEED = 0
 TPCH_SCALE = 1.0
 CLIENT_THREADS = 16
-OVERHEAD_GATE_PCT = 15.0
 
 
 def _serving_run(sessions, oracle, store=None):
@@ -414,11 +415,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "rehydrate": rehydrate,
         "crash_recovery": crash,
         "acceptance": {
-            "journal_overhead_p95_pct": overhead["overhead_p95_pct"],
-            "journal_overhead_max_pct": OVERHEAD_GATE_PCT,
-            "overhead_gate": (
-                overhead["overhead_p95_pct"] < OVERHEAD_GATE_PCT
-            ),
             "rehydrate_p95_ms": rehydrate["rehydrate_latency"]["p95_ms"],
             "recover_wall_seconds": crash["recover_wall_seconds"],
             "crash_recovery_identical": crash[
@@ -450,24 +446,13 @@ def main(argv=None) -> int:
     acceptance = report["acceptance"]
     print(
         f"  journal overhead: answer p95 "
-        f"{acceptance['journal_overhead_p95_pct']:+.1f}% "
-        f"(gate < {acceptance['journal_overhead_max_pct']}%)"
+        f"{report['journal_overhead']['overhead_p95_pct']:+.1f}%"
     )
     print(
         f"  rehydrate p95 {acceptance['rehydrate_p95_ms']}ms, "
         f"kill -9 recover {acceptance['recover_wall_seconds']}s"
     )
-    gates = [
-        ("crash_recovery_identical", acceptance["crash_recovery_identical"]),
-    ]
-    if not report["meta"]["smoke"]:
-        # The smoke run's 16-session overhead is gated (with tolerance)
-        # by benchmarks/check_trajectory.py in CI; the committed
-        # full-run report must satisfy the hard 15% gate itself.
-        gates.append(("overhead_gate", acceptance["overhead_gate"]))
-    for name, ok in gates:
-        print(f"acceptance: {name} → {'OK' if ok else 'FAIL'}")
-    return 0 if all(ok for _, ok in gates) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ observability plane costs:
   pushes each next question the moment speculation or a kernel batch
   resolves it).  The measured quantity is identical on both paths: the
   wall-clock from ``POST /answer`` returning to the next question being
-  in the client's hand.  The gate: streamed p50 strictly beats polled
-  p50 — the push overlaps the answer round-trip, so by the time the
-  answer response lands the next question is usually already queued
-  client-side.  **Parity first**: the polled and streamed runs of every
+  in the client's hand.  Streaming should beat polling at p50: the push
+  overlaps the answer round-trip, so by the time the answer response
+  lands the next question is usually already queued client-side.
+  **Parity first**: the polled and streamed runs of every
   (strategy, seed) must produce the bit-for-bit identical
   ``(question_id, class_id)`` sequence, and both must match the
   in-process ``run_inference`` reference, before any timing is trusted.
@@ -28,14 +28,14 @@ observability plane costs:
   for its clients' GIL time.  Server-side, every event's SSE frame is
   encoded once, and a coalescer on the server's event loop writes the
   frames buffered since its last send cycle (at most one cycle per
-  50 ms) to every socket as one shared chunk, so the gate is answer
-  p95 with fan-out staying within 25 % of the bare run on the
-  committed full run (the CI smoke cell tolerates more noise; see
-  ``check_trajectory.py``).  ``cpu_count`` is recorded in the report
-  so gate readers can see how much true overlap the runner allowed.
-  Every timed session is parity-checked against the in-process
-  reference, and every subscriber must have received **every** event
-  frame before the cell passes.
+  50 ms) to every socket as one shared chunk; the cell reports answer
+  p95 with fan-out against the bare run.  ``meta.cpu_count`` shows how
+  much true overlap the runner allowed.  Every timed session is
+  parity-checked against the in-process reference, and every
+  subscriber must have received **every** event frame.
+
+The report holds measurements only; every bound on them is a row of
+the gate table in ``check_trajectory.py``.
 
 Usage::
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import queue
 import selectors
 import socket
@@ -87,16 +86,6 @@ CLIENT_THREADS = 8
 #: protocol is interactive (a user labels one pair per round), and the
 #: think gaps are where feed delivery overlaps the answer path.
 SERVING_THINK = 0.05
-#: The committed full-run gate: answer p95 under fan-out stays within
-#: this percentage of the bare run, OR within the absolute floor below
-#: (CI smoke gates looser).  The floor exists because under the paced
-#: interactive load the bare p95 is sub-millisecond — at that scale a
-#: pure ratio gate prices scheduler noise, not fan-out: +0.3 ms reads
-#: as 25 %.  On a 1-core runner (``cpu_count`` is in the report) feed
-#: delivery cannot overlap the answer path at all, so the absolute
-#: floor is what binds; multi-core runners are held to the ratio.
-FANOUT_OVERHEAD_MAX_PCT = 25.0
-FANOUT_OVERHEAD_ABS_MAX_MS = 2.0
 
 
 def _workload_oracle():
@@ -576,7 +565,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "latency": latency,
         "fanout": fanout,
         "acceptance": {
-            "cpu_count": os.cpu_count() or 1,
             "polled_p50_ms": latency["polled_question_latency"][
                 "p50_ms"
             ],
@@ -585,10 +573,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
             ],
             "stream_parity": latency["parity"]["checked"],
             "fanout_subscribers": fanout["subscribers"],
-            "fanout_overhead_p95_pct": fanout["overhead_p95_pct"],
-            "fanout_overhead_abs_ms": fanout["overhead_p95_abs_ms"],
-            "fanout_overhead_max_pct": FANOUT_OVERHEAD_MAX_PCT,
-            "fanout_overhead_abs_max_ms": FANOUT_OVERHEAD_ABS_MAX_MS,
             "fanout_parity": fanout["parity_checked"],
             "events_dropped": fanout["events_dropped"],
         },
@@ -618,18 +602,6 @@ def main(argv=None) -> int:
     acceptance = report["acceptance"]
     print(json.dumps(acceptance, indent=2))
     print(f"report written to {args.output}")
-    if not report["meta"]["smoke"]:
-        # Full runs assert their own gates; the CI smoke cell is gated
-        # (with noise tolerance) by check_trajectory.py instead.
-        assert (
-            acceptance["streamed_p50_ms"] < acceptance["polled_p50_ms"]
-        ), "streaming must beat polling on question latency"
-        assert (
-            acceptance["fanout_overhead_p95_pct"]
-            < FANOUT_OVERHEAD_MAX_PCT
-            or acceptance["fanout_overhead_abs_ms"]
-            < FANOUT_OVERHEAD_ABS_MAX_MS
-        ), "fan-out must not regress answer p95"
     return 0
 
 

@@ -9,6 +9,7 @@ copies across ``bench_plan`` / ``bench_service`` / ``bench_store``.
 from __future__ import annotations
 
 import math
+import os
 import platform
 import time
 from datetime import datetime, timezone
@@ -41,12 +42,13 @@ def latency_summary(samples: list[float]) -> dict:
 
 
 def bench_meta(**extra) -> dict:
-    """The common report header — creation time plus host toolchain —
-    with any harness-specific fields appended in keyword order."""
+    """The common report header — creation time, host toolchain, core
+    count — with any harness-specific fields appended in keyword order."""
     meta = {
         "created": datetime.now(timezone.utc).isoformat(),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
     }
     meta.update(extra)
     return meta

@@ -1,639 +1,403 @@
-"""CI gate: compare a bench smoke report against its committed baseline.
+"""CI gate: check a bench report against the one table of bench gates.
 
-Every benchmark harness emits a JSON report; the full-run reports are
-committed at the repo root (``BENCH_core.json``, ``BENCH_plan.json``,
-``BENCH_service.json``, ``BENCH_store.json``, ``BENCH_fleet.json``,
-``BENCH_stream.json``) and define the performance trajectory the
-project must not fall off.  CI
-runs each harness in ``--smoke`` mode and this script checks the smoke
-report against the matching baseline with **per-suite tolerances** —
-smoke instances are tiny and shared runners are noisy, so each suite
-gates only on what is stable at smoke scale (bit-for-bit parity flags,
-hard ratios, order-of-magnitude latencies) and reads its targets from
-the committed baseline where the baseline defines them.
+Every ``benchmarks/bench_<suite>.py`` writes a JSON report of
+measurements only; the full-run reports are committed at the repo
+root (``BENCH_<suite>.json``).  Every bound lives in :data:`TABLE`, one
+row per gate: the row re-derives its measurement from the report's raw
+numbers and gives its comparison, its smoke bound and its full bound.
+One evaluator picks the bound from the report's ``meta.smoke``, so the
+same rows check CI's smokes and the nightly full runs, and nothing a
+report says (a ratio, a flag, a recorded floor) can move a bound.
+
+* A missing measurement fails.
+* A row of a ``/dev/shm`` plane the host cannot use, a relative row
+  (at most 10x the committed baseline) whose baseline has no number,
+  and a row with no bound at the report's scale pass as skipped.
+* A row measuring a mapping (core's per-cell speedups) yields one gate
+  per entry, named ``<row>:<key>``.
 
 Usage (one suite per CI matrix job)::
 
     python benchmarks/check_trajectory.py --suite core \
         --report BENCH_core_smoke.json --baseline BENCH_core.json
 
-Exit status 0 when every gate holds, 1 otherwise; every gate is printed
-either way.  The module is import-safe and unit-tested
-(``tests/test_check_trajectory.py``).
+Exit status 0 when every gate holds, 1 otherwise (a report without
+``meta.smoke`` included); every gate is printed either way.  The
+module is import-safe and unit-tested (``tests/test_check_trajectory.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-__all__ = ["Gate", "SUITES", "run_suite", "main"]
+__all__ = ["Gate", "Row", "TABLE", "SUITES", "run_suite", "main"]
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One named pass/fail check with a human-readable detail line."""
+    """One named verdict with a human-readable detail line."""
 
     name: str
     ok: bool
     detail: str
+    skipped: bool = False
 
 
-def _gate(name: str, ok: bool, detail: str) -> Gate:
-    return Gate(name=name, ok=bool(ok), detail=detail)
+class Skip(Exception):
+    """Raised by a measurement that does not apply to this report."""
 
 
-# --- per-suite checks --------------------------------------------------------
-
-#: Smoke cells run on tiny instances where fixed overheads dominate, so
-#: the absolute floor is far below the committed full-run speedups; it
-#: trips only when the array engine falls clearly behind the seed.
-CORE_SMOKE_SPEEDUP_FLOOR = 0.5
-
-#: The store's journal-overhead gate is 15% on the committed full run
-#: (64 sessions); the 16-session smoke sees fewer samples per
-#: percentile, so CI tolerates more noise before failing.
-STORE_SMOKE_OVERHEAD_PCT = 25.0
-
-#: Rehydration latency may drift with runner speed; an order-of-
-#: magnitude regression against the committed baseline is a real one.
-STORE_REHYDRATE_RELATIVE_MAX = 10.0
-
-#: The batched kernel segment must beat the per-session planners by 2×
-#: on the committed full run (256 sessions); the 128-session smoke
-#: keeps a noise margin below that.
-PLAN_SMOKE_KERNEL_SPEEDUP_FLOOR = 1.3
-
-#: A warm (memoised) question replaces a depth-2 kernel sweep with a
-#: lookup.  The committed full run gates at 3× and measures an order
-#: of magnitude above it; the smoke run's p95 sits on the session's
-#: first (largest) steps where non-memoised propose overhead is a
-#: bigger share of the round, so its report carries a relaxed floor —
-#: clamped here so a report cannot weaken it below this minimum.
-PLAN_CACHE_SPEEDUP_FLOOR_MIN = 1.5
-
-#: Fleet takeover is lease-TTL-dominated (~1s); an order-of-magnitude
-#: regression against the committed baseline is a real one.
-FLEET_TAKEOVER_RELATIVE_MAX = 10.0
-
-#: The fleet scaling floor per worker (see bench_fleet.py): the gate
-#: applies to the largest measured fleet that fits the runner's cores,
-#: where speedup must reach factor × workers — the ≥3× target at
-#: 4 workers on ≥4-core hardware.
-FLEET_SCALING_FLOOR_FACTOR = 0.75
-
-#: Fleets oversubscribing their cores may cost throughput (extra
-#: interpreters and index builds on the same cores) but must not
-#: collapse past 4× vs a single worker.
-FLEET_OVERSUBSCRIPTION_FLOOR = 0.25
-
-#: The shared-memory index plane maps ONE machine-wide copy of each
-#: index, so a fleet's total index-resident bytes must stay within
-#: noise of the single-process figure, never N copies.
-FLEET_SHARED_MEMORY_RATIO_MAX = 1.5
-
-#: Smoke cells build ~1 KB indexes where the flat buffer's fixed
-#: header/alignment overhead dominates each segment, so their reports
-#: may record a relaxed ceiling — but never past this hard cap, so a
-#: report cannot weaken the gate into meaninglessness.
-FLEET_SHARED_MEMORY_RATIO_HARD_MAX = 3.0
-
-#: Warm-fleet cold creates resolved by attaching a sibling's segment
-#: skip the |R|×|P| product walk.  The smoke cell builds a ~6× smaller
-#: instance where HTTP round-trip overhead is a bigger slice of the
-#: create, so the canary floor sits below the ≥5× full-run target
-#: (gated through the report's own recorded floor).
-FLEET_SHARED_ATTACH_FLOOR_MIN = 1.5
+def get(doc, path: str):
+    """The value at dotted ``path`` in ``doc``, or None."""
+    for key in path.split("."):
+        if not isinstance(doc, dict) or key not in doc:
+            return None
+        doc = doc[key]
+    return doc
 
 
-#: Fan-out answer-p95 overhead is gated at 25% — or a 2 ms absolute
-#: delta, whichever is kinder — on the committed full run (256
-#: subscribers, 171 answers); under the think-paced interactive load
-#: the bare p95 is sub-millisecond, where a pure ratio gate prices
-#: scheduler noise rather than fan-out.  The 64-subscriber smoke has
-#: far fewer answer samples per percentile and runs on noisy shared
-#: CI, so the trajectory gate tolerates more on both axes.
-STREAM_SMOKE_FANOUT_OVERHEAD_PCT = 75.0
-STREAM_SMOKE_FANOUT_OVERHEAD_ABS_MS = 4.0
-
-#: The smoke fan-out cell must still exercise a real subscriber crowd —
-#: a report that quietly dropped to a handful of sockets proves nothing.
-STREAM_SMOKE_SUBSCRIBERS_MIN = 64
+def _all(report, *paths):
+    """The values at ``paths``, or None when one is missing."""
+    values = tuple(get(report, path) for path in paths)
+    return None if None in values else values
 
 
-def check_stream(report: dict, baseline: dict) -> list[Gate]:
-    """Pushed questions must beat polling, the fanned-out feed must not
-    regress answer p95 beyond the smoke tolerance, and both cells must
-    be parity-checked with zero dropped events.  Ratios are re-derived
-    from the report's raw latency summaries — the gate does not trust
-    the report's own pass/fail numbers."""
-    latency = report.get("latency", {})
-    polled = latency.get("polled_question_latency", {}).get("p50_ms")
-    streamed = latency.get("streamed_question_latency", {}).get(
-        "p50_ms"
+def _ratio(numerator, denominator):
+    if numerator is None or not denominator:
+        return None
+    return numerator / denominator
+
+
+# --- measurements: each maps (report, baseline) to a value or None ---------
+
+
+def at(path: str) -> Callable:
+    return lambda report, baseline: get(report, path)
+
+
+def ratio(numerator: str, denominator: str) -> Callable:
+    return lambda report, baseline: _ratio(
+        get(report, numerator), get(report, denominator)
     )
-    gates = [
-        _gate(
-            "streamed_beats_polled_p50",
-            polled is not None
-            and streamed is not None
-            and streamed < polled,
-            f"streamed question p50 {streamed}ms vs polled {polled}ms "
-            f"(push must beat ask/answer polling)",
-        ),
-        _gate(
-            "stream_parity",
-            latency.get("parity", {}).get("checked", False)
-            and report.get("acceptance", {}).get(
-                "stream_parity", False
-            ),
-            f"streamed and polled question sequences bit-for-bit "
-            f"identical over "
-            f"{latency.get('parity', {}).get('sessions')} sessions",
-        ),
-    ]
-    fanout = report.get("fanout", {})
-    bare = fanout.get("bare_answer_latency", {}).get("p95_ms")
-    fanned = fanout.get("fanout_answer_latency", {}).get("p95_ms")
-    overhead = (
-        round((fanned / bare - 1.0) * 100.0, 2)
-        if bare and fanned is not None
-        else None
-    )
-    overhead_abs = (
-        round(fanned - bare, 3)
-        if bare is not None and fanned is not None
-        else None
-    )
-    subscribers = fanout.get("subscribers", 0)
-    full_gate = report.get("acceptance", {}).get(
-        "fanout_overhead_max_pct", 25.0
-    )
-    gates.extend(
-        [
-            _gate(
-                "fanout_subscribers",
-                subscribers >= STREAM_SMOKE_SUBSCRIBERS_MIN,
-                f"{subscribers} feed subscribers (need >= "
-                f"{STREAM_SMOKE_SUBSCRIBERS_MIN})",
-            ),
-            _gate(
-                "fanout_overhead_p95",
-                overhead is not None
-                and (
-                    overhead < STREAM_SMOKE_FANOUT_OVERHEAD_PCT
-                    or overhead_abs
-                    < STREAM_SMOKE_FANOUT_OVERHEAD_ABS_MS
-                ),
-                f"answer-p95 overhead {overhead}% / {overhead_abs}ms "
-                f"at {subscribers} subscribers (smoke tolerance < "
-                f"{STREAM_SMOKE_FANOUT_OVERHEAD_PCT}% or < "
-                f"{STREAM_SMOKE_FANOUT_OVERHEAD_ABS_MS}ms absolute; "
-                f"committed full-run gate < {full_gate}%)",
-            ),
-            _gate(
-                "fanout_parity",
-                fanout.get("parity_checked", False),
-                "fanned-out sessions finished bit-for-bit identical "
-                "to the in-process reference",
-            ),
-            _gate(
-                "no_dropped_events",
-                fanout.get("events_dropped") == 0,
-                f"{fanout.get('events_dropped')} events dropped "
-                f"across the service feed (must be 0)",
-            ),
-        ]
-    )
-    return gates
 
 
-def check_core(report: dict, baseline: dict) -> list[Gate]:
-    """Every smoke cell must stay above the absolute speedup floor."""
-    cells = report.get("benchmarks", [])
-    gates = [
-        _gate(
-            "has_cells",
-            bool(cells),
-            f"{len(cells)} benchmark cells in the smoke report",
+def flags(*paths: str) -> Callable:
+    """True when every flag is true."""
+    return lambda report, baseline: (
+        (values := _all(report, *paths)) and all(values)
+    )
+
+
+def vs_baseline(path: str) -> Callable:
+    """The report's number over the committed baseline's."""
+
+    def measure(report, baseline):
+        if not get(baseline, path):
+            raise Skip(f"the baseline has no {path}")
+        return _ratio(get(report, path), get(baseline, path))
+
+    return measure
+
+
+def on_plane(plane: str, measure: Callable) -> Callable:
+    """``measure``, skipped when the host cannot use the shared plane."""
+
+    def gated(report, baseline):
+        if not get(report, f"{plane}.supported"):
+            raise Skip(f"{plane}: shared memory unavailable on this host")
+        return measure(report, baseline)
+
+    return gated
+
+
+def cell_count(report, baseline):
+    cells = get(report, "benchmarks")
+    return None if cells is None else len(cells)
+
+
+def core_speedups(report, baseline):
+    """Seed seconds over new seconds, per cell."""
+    return {
+        f"{cell.get('name')}:{cell.get('workload')}": _ratio(
+            cell.get("baseline_seconds"), cell.get("new_seconds")
         )
-    ]
-    for cell in cells:
-        speedup = cell.get("speedup", 0.0)
-        gates.append(
-            _gate(
-                f"speedup:{cell.get('name')}:{cell.get('workload')}",
-                speedup >= CORE_SMOKE_SPEEDUP_FLOOR,
-                f"{speedup}x vs seed (floor "
-                f"{CORE_SMOKE_SPEEDUP_FLOOR}x)",
-            )
-        )
-    return gates
-
-
-def check_plan(report: dict, baseline: dict) -> list[Gate]:
-    """Incremental full-session L2S must stay within tolerance of the
-    from-scratch path on the largest Fig. 7 configuration (the numbers
-    are re-derived here — the gate does not trust the report's own
-    pass/fail bool)."""
-    acceptance = report.get("acceptance", {})
-    incremental = acceptance.get("l2s_incremental_ms")
-    scratch = acceptance.get("l2s_from_scratch_ms")
-    tolerance = acceptance.get(
-        "l2s_gate_tolerance",
-        baseline.get("acceptance", {}).get("l2s_gate_tolerance", 1.10),
-    )
-    ok = (
-        incremental is not None
-        and scratch is not None
-        and incremental <= scratch * tolerance
-    )
-    gates = [
-        _gate(
-            "l2s_incremental_within_tolerance",
-            ok,
-            f"incremental {incremental}ms vs from-scratch {scratch}ms "
-            f"(tolerance {tolerance}x)",
-        )
-    ]
-    batched = acceptance.get("batched_kernel_seconds")
-    per_session = acceptance.get("per_session_kernel_seconds")
-    gates.append(
-        _gate(
-            "batched_kernel_segment",
-            batched is not None
-            and per_session is not None
-            and per_session
-            >= batched * PLAN_SMOKE_KERNEL_SPEEDUP_FLOOR,
-            f"per-session kernels {per_session}s vs batched {batched}s "
-            f"(smoke floor {PLAN_SMOKE_KERNEL_SPEEDUP_FLOOR}x; the "
-            f"committed full run gates at "
-            f"{acceptance.get('batched_kernel_gate_min', 2.0)}x)",
-        )
-    )
-    cold = acceptance.get("plan_cache_cold_p95_ms")
-    warm = acceptance.get("plan_cache_warm_p95_ms")
-    plan_floor = max(
-        float(
-            acceptance.get(
-                "plan_cache_gate_min", PLAN_CACHE_SPEEDUP_FLOOR_MIN
-            )
-        ),
-        PLAN_CACHE_SPEEDUP_FLOOR_MIN,
-    )
-    gates.append(
-        _gate(
-            "plan_cache_warm_p95",
-            cold is not None
-            and warm is not None
-            and cold >= warm * plan_floor,
-            f"cold question p95 {cold}ms vs warm (memoised) {warm}ms "
-            f"(floor {plan_floor}x)",
-        )
-    )
-    counters = {
-        name: acceptance.get(f"plan_cache_{name}")
-        for name in ("misses", "local_hits", "shared_hits", "computes")
+        for cell in get(report, "benchmarks") or []
     }
-    gates.append(
-        _gate(
-            "plan_cache_counter_identity",
-            None not in counters.values()
-            and counters["misses"]
-            == counters["local_hits"]
-            + counters["shared_hits"]
-            + counters["computes"],
-            f"misses {counters['misses']} == local "
-            f"{counters['local_hits']} + shared "
-            f"{counters['shared_hits']} + computes "
-            f"{counters['computes']}",
-        )
-    )
-    return gates
 
 
-def check_service(report: dict, baseline: dict) -> list[Gate]:
-    """Concurrent sessions on one workload must share one cached index."""
-    acceptance = report.get("acceptance", {})
-    target = acceptance.get(
-        "index_cache_hit_ratio_target",
-        baseline.get("acceptance", {}).get(
-            "index_cache_hit_ratio_target", 0.9
-        ),
-    )
-    ratio = acceptance.get("index_cache_hit_ratio")
-    gates = [
-        _gate(
-            "index_cache_hit_ratio",
-            ratio is not None and ratio > target,
-            f"hit ratio {ratio} (target > {target})",
-        )
-    ]
-    histogram = (
-        report.get("batched_sessions", {})
-        .get("batched", {})
-        .get("kernel_batch", {})
-        .get("batch_size_histogram", {})
-    )
-    largest = max((int(size) for size in histogram), default=0)
-    gates.append(
-        _gate(
-            "kernel_batch_coalesced",
-            largest >= 2,
-            f"largest coalesced batch {largest} (need >= 2 — concurrent "
-            f"HTTP proposals must actually share a kernel)",
-        )
-    )
-    speculation = report.get("serving", {}).get("speculation", {})
-    ratios = speculation.get("hit_ratio_by_depth", {})
-    gates.append(
-        _gate(
-            "speculation_depth2_reported",
-            speculation.get("depth", 0) >= 2 and "2" in ratios,
-            f"speculation depth {speculation.get('depth')} with "
-            f"per-depth hit ratios for {sorted(ratios)}",
-        )
-    )
-    return gates
+def counter_identity(report, baseline):
+    """misses == local hits + shared hits + computes."""
+    names = ("misses", "local_hits", "shared_hits", "computes")
+    counts = _all(report, *(f"acceptance.plan_cache_{name}" for name in names))
+    return counts and counts[0] == sum(counts[1:])
 
 
-def check_store(report: dict, baseline: dict) -> list[Gate]:
-    """Journaling must stay cheap, recovery must stay bit-for-bit, and
-    rehydration must stay the same order of magnitude as the baseline."""
-    acceptance = report.get("acceptance", {})
-    overhead = acceptance.get("journal_overhead_p95_pct")
-    gates = [
-        _gate(
-            "journal_overhead_p95",
-            overhead is not None
-            and overhead < STORE_SMOKE_OVERHEAD_PCT,
-            f"answer-p95 overhead {overhead}% (smoke tolerance < "
-            f"{STORE_SMOKE_OVERHEAD_PCT}%; committed full-run gate < "
-            f"{acceptance.get('journal_overhead_max_pct', 15.0)}%)",
-        ),
-        _gate(
-            "crash_recovery_identical",
-            acceptance.get("crash_recovery_identical", False),
-            "kill -9 recovery replayed the identical question sequence",
-        ),
-    ]
-    rehydrate = acceptance.get("rehydrate_p95_ms")
-    baseline_rehydrate = baseline.get("acceptance", {}).get(
-        "rehydrate_p95_ms"
+def index_hit_ratio(report, baseline):
+    counts = _all(report, "serving.index_cache.hits", "serving.index_cache.misses")
+    return counts and _ratio(counts[0], sum(counts))
+
+
+def largest_batch(report, baseline):
+    sizes = get(report, "batched_sessions.batched.kernel_batch.batch_size_histogram")
+    return None if sizes is None else max(map(int, sizes), default=0)
+
+
+def depth2_reported(report, baseline):
+    depth = get(report, "serving.speculation.depth")
+    ratios = get(report, "serving.speculation.hit_ratio_by_depth") or {}
+    return None if depth is None else depth >= 2 and "2" in ratios
+
+
+def journal_overhead_pct(report, baseline):
+    """Answer p95 with journaling over without, as a % overhead."""
+    share = _ratio(
+        get(report, "journal_overhead.store_answer_latency.p95_ms"),
+        get(report, "journal_overhead.plain_answer_latency.p95_ms"),
     )
-    if baseline_rehydrate:
-        ceiling = baseline_rehydrate * STORE_REHYDRATE_RELATIVE_MAX
-        gates.append(
-            _gate(
-                "rehydrate_p95_vs_baseline",
-                rehydrate is not None and rehydrate <= ceiling,
-                f"rehydrate p95 {rehydrate}ms (baseline "
-                f"{baseline_rehydrate}ms, ceiling {ceiling:.1f}ms)",
-            )
-        )
-    return gates
+    return None if share is None else (share - 1.0) * 100.0
 
 
-def check_fleet(report: dict, baseline: dict) -> list[Gate]:
-    """Multi-worker throughput must scale with the cores the *report's*
-    machine actually has: the speedups are re-derived here from the raw
-    per-worker-count sessions/sec, the scaling floor applies to the
-    largest measured fleet that fits the runner's cpu_count (a 1-core
-    CI runner degenerates to the single-worker identity, not the
-    4-core 3× target), and fleets oversubscribing their cores must not
-    collapse.  Recovery must stay parity-clean and the kill -9
-    takeover the same order of magnitude as the committed baseline."""
-    acceptance = report.get("acceptance", {})
-    by_workers = report.get("scaling", {}).get("by_workers", {})
-    rates = {
-        int(workers): cell.get("sessions_per_sec")
-        for workers, cell in by_workers.items()
-        if cell.get("sessions_per_sec")
+def _fleet_rates(report) -> dict[int, float]:
+    return {
+        int(workers): cell["sessions_per_sec"]
+        for workers, cell in (get(report, "scaling.by_workers") or {}).items()
+        if isinstance(cell, dict) and cell.get("sessions_per_sec")
     }
-    factor = baseline.get("acceptance", {}).get(
-        "scaling_floor_factor", FLEET_SCALING_FLOOR_FACTOR
-    )
-    cpu_count = acceptance.get("cpu_count") or 1
-    single = rates.get(1)
-    gated = max(
-        (w for w in rates if w <= cpu_count), default=1
-    )
-    workers_max = max(rates, default=1)
-    floor = factor * gated
-    speedup_gated = (
-        round(rates[gated] / single, 3)
-        if single and gated in rates
-        else None
-    )
-    speedup_max = (
-        round(rates[workers_max] / single, 3)
-        if single and workers_max in rates
-        else None
-    )
-    gates = [
-        _gate(
-            "scaling_vs_cores",
-            speedup_gated is not None and speedup_gated >= floor,
-            f"{speedup_gated}x at {gated} workers on {cpu_count} "
-            f"core(s) (floor {floor:.2f}x = {factor} x workers; "
-            f"largest measured fleet fitting the cores)",
-        ),
-        _gate(
-            "oversubscription_bounded",
-            speedup_max is not None
-            and speedup_max >= FLEET_OVERSUBSCRIPTION_FLOOR,
-            f"{speedup_max}x at {workers_max} workers on {cpu_count} "
-            f"core(s) (floor {FLEET_OVERSUBSCRIPTION_FLOOR}x — "
-            f"oversubscription may cost, not collapse)",
-        ),
-        _gate(
-            "recovery_parity",
-            acceptance.get("recovery_parity", False),
-            "sessions finished identically after kill -9 takeover",
-        ),
-        _gate(
-            "scaling_parity",
-            acceptance.get("scaling_parity", False),
-            "every timed session matched the in-process reference",
-        ),
-    ]
-    takeover = acceptance.get("takeover_seconds")
-    baseline_takeover = baseline.get("acceptance", {}).get(
-        "takeover_seconds"
-    )
-    if baseline_takeover:
-        ceiling = baseline_takeover * FLEET_TAKEOVER_RELATIVE_MAX
-        gates.append(
-            _gate(
-                "takeover_vs_baseline",
-                takeover is not None and takeover <= ceiling,
-                f"takeover {takeover}s (baseline {baseline_takeover}s, "
-                f"ceiling {ceiling:.1f}s)",
-            )
-        )
-    gates.extend(_shared_index_gates(report))
-    gates.extend(_plan_cache_fleet_gates(report))
-    return gates
 
 
-def _plan_cache_fleet_gates(report: dict) -> list[Gate]:
-    """Cross-worker plan-table reuse, re-derived from the cell's own
-    aggregated counters.  Like the index plane, a platform without
-    POSIX shared memory degrades to per-process caches by design."""
-    cell = report.get("plan_cache", {})
-    if not cell.get("supported", False):
-        return [
-            _gate(
-                "plan_cache_supported",
-                True,
-                "shared memory unavailable on this runner; plan tier "
-                "degraded to per-process caches (by design)",
-            )
-        ]
-    shared_hits = cell.get("counters", {}).get("shared_hits_total", 0)
-    leaked = cell.get("leaked_segments", None)
-    return [
-        _gate(
-            "plan_cross_worker_hits",
-            bool(cell.get("parity_checked"))
-            and shared_hits >= 1,
-            f"{shared_hits} cross-worker shared-tier hits over "
-            f"{cell.get('questions_per_session')} identical questions "
-            f"per slot (need >= 1, parity-checked)",
-        ),
-        _gate(
-            "plan_no_leaked_segments",
-            leaked == [],
-            f"plan segments left in /dev/shm after the fleet closed: "
-            f"{leaked}",
-        ),
-    ]
+def scaling_per_worker(report, baseline):
+    """Speedup over one worker, divided by W, at the largest measured
+    fleet whose W fits ``meta.cpu_count``: W workers cannot scale past
+    the cores they run on, so the 0.75 bound asks 0.75 x W (a 1-core
+    host holds the identity, a 4-core host >= 3x at 4 workers)."""
+    rates = _fleet_rates(report)
+    cores = get(report, "meta.cpu_count")
+    fitting = [w for w in rates if cores is not None and w <= cores]
+    if 1 not in rates or not fitting:
+        return None
+    return rates[max(fitting)] / rates[1] / max(fitting)
 
 
-def _shared_index_gates(report: dict) -> list[Gate]:
-    """The zero-copy shared-index plane's cell, re-derived from raw
-    bytes and latencies.  A platform without POSIX shared memory
-    (``supported: false``) degrades to private builds by design and
-    passes trivially — but a supported run must share memory, attach
-    fast, and leak nothing."""
-    cell = report.get("shared_index", {})
-    if not cell.get("supported", False):
-        return [
-            _gate(
-                "shared_index_supported",
-                True,
-                "shared memory unavailable on this runner; plane "
-                "degraded to private builds (by design)",
-            )
-        ]
-    single = cell.get("single_resident_bytes") or 0
-    fleet_resident = cell.get("fleet_resident_bytes")
-    ratio = (
-        fleet_resident / single
-        if single and fleet_resident is not None
-        else None
-    )
-    build_p95 = cell.get("private_build_latency", {}).get("p95_ms")
-    attach_p95 = cell.get("attach_latency", {}).get("p95_ms")
-    speedup = (
-        round(build_p95 / attach_p95, 3)
-        if build_p95 and attach_p95
-        else None
-    )
-    floor = max(
-        float(
-            report.get("acceptance", {}).get(
-                "shared_attach_speedup_floor",
-                FLEET_SHARED_ATTACH_FLOOR_MIN,
-            )
-        ),
-        FLEET_SHARED_ATTACH_FLOOR_MIN,
-    )
-    ratio_max = min(
-        float(
-            report.get("acceptance", {}).get(
-                "shared_memory_ratio_max",
-                FLEET_SHARED_MEMORY_RATIO_MAX,
-            )
-        ),
-        FLEET_SHARED_MEMORY_RATIO_HARD_MAX,
-    )
-    leaked = cell.get("leaked_segments", None)
-    return [
-        _gate(
-            "shared_index_memory",
-            ratio is not None and ratio <= ratio_max,
-            f"{cell.get('workers')}-worker resident {fleet_resident}B "
-            f"vs {single}B single-process = "
-            f"{None if ratio is None else round(ratio, 3)}x "
-            f"(max {ratio_max}x — one machine-wide copy, not N)",
-        ),
-        _gate(
-            "shared_index_attach_speedup",
-            speedup is not None and speedup >= floor,
-            f"warm-fleet cold create p95 {attach_p95}ms via attach vs "
-            f"{build_p95}ms private build = {speedup}x (floor {floor}x)",
-        ),
-        _gate(
-            "shared_index_no_leaks",
-            leaked == [],
-            f"segments left in /dev/shm after both fleets closed: "
-            f"{leaked}",
-        ),
-    ]
+def oversubscribed_speedup(report, baseline):
+    """Speedup over one worker at the largest measured fleet."""
+    rates = _fleet_rates(report)
+    return _ratio(rates.get(max(rates, default=1)), rates.get(1))
 
 
-SUITES = {
-    "core": check_core,
-    "plan": check_plan,
-    "service": check_service,
-    "store": check_store,
-    "fleet": check_fleet,
-    "stream": check_stream,
+def cross_worker_hits(report, baseline):
+    """Shared-tier hits, counted only once the cell checked parity."""
+    if get(report, "plan_cache.parity_checked") is not True:
+        return None
+    return get(report, "plan_cache.counters.shared_hits_total")
+
+
+def fanout_overhead(report, baseline):
+    """(%, ms) that the fanned-out feed adds to the bare answer p95."""
+    bare = get(report, "fanout.bare_answer_latency.p95_ms")
+    fanned = get(report, "fanout.fanout_answer_latency.p95_ms")
+    if not bare or fanned is None:
+        return None
+    return ((fanned / bare - 1.0) * 100.0, fanned - bare)
+
+
+# --- the table ---------------------------------------------------------------
+
+
+OPS = {
+    ">=": operator.ge, ">": operator.gt, "<=": operator.le,
+    "<": operator.lt, "==": operator.eq,
+    # Fan-out overhead holds below EITHER its % or its ms bound: under
+    # paced interactive load the bare p95 is sub-millisecond, where a
+    # pure ratio prices scheduler noise.
+    "either <": lambda got, bound: got[0] < bound[0] or got[1] < bound[1],
 }
 
 
+@dataclass(frozen=True)
+class Row:
+    """One gate: its measurement, comparison and bound per scale (a
+    ``None`` bound means the gate does not apply at that scale)."""
+
+    suite: str
+    name: str
+    measure: Callable
+    op: str
+    smoke: object
+    full: object
+
+    def gates(self, report: dict, baseline: dict, smoke: bool) -> list[Gate]:
+        bound = self.smoke if smoke else self.full
+        if bound is None:
+            scale = "smoke" if smoke else "full"
+            return [Gate(self.name, True, f"not gated at {scale} scale", True)]
+        try:
+            got = self.measure(report, baseline)
+        except Skip as skip:
+            return [Gate(self.name, True, str(skip), True)]
+        items = got.items() if isinstance(got, dict) else [(None, got)]
+        return [
+            _judge(f"{self.name}:{key}" if key else self.name, value, self.op, bound)
+            for key, value in items
+        ]
+
+
+def _show(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, tuple):
+        return " / ".join(map(_show, value))
+    return repr(value)
+
+
+def _judge(name: str, value, op: str, bound) -> Gate:
+    need = f"need {op} {_show(bound)}"
+    if value is None:
+        return Gate(name, False, f"measurement missing ({need})")
+    try:
+        ok = bool(OPS[op](value, bound))
+    except TypeError:
+        ok = False
+    return Gate(name, ok, f"{_show(value)} ({need})")
+
+
+#: Every bench gate: suite, gate, measurement (re-derived from the
+#: report's raw numbers), comparison, smoke bound, full bound.  A smoke
+#: run has smaller instances and fewer samples per percentile, so some
+#: smoke bounds are looser; none is tighter.
+TABLE = [
+    Row("core", "has_cells", cell_count, ">=", 1, 1),
+    # Smoke cells are tiny and fixed overheads dominate them: the floor
+    # trips only when the engine falls clearly behind the seed.
+    Row("core", "speedup", core_speedups, ">=", 0.5, 0.5),
+    # Full-length (adversarial-oracle) L2S sessions on the largest
+    # Fig. 7 configuration: incremental over from-scratch ms, expected
+    # below 1.0, with a measurement tolerance for shared runners.
+    Row("plan", "l2s_incremental_within_tolerance",
+        ratio("acceptance.l2s_incremental_ms", "acceptance.l2s_from_scratch_ms"),
+        "<=", 1.10, 1.10),
+    # The 128-session smoke keeps a noise margin below the full 2x.
+    Row("plan", "batched_kernel_segment",
+        ratio("acceptance.per_session_kernel_seconds",
+              "acceptance.batched_kernel_seconds"), ">=", 1.3, 2.0),
+    # Answers/s may not regress: non-kernel answer cost, paid by both
+    # modes alike, dilutes the kernel's gain end to end.
+    Row("plan", "batched_answer_throughput",
+        ratio("batched_kernels.batched.answers_per_second",
+              "batched_kernels.per_session.answers_per_second"), ">=", 0.9, 0.9),
+    # A smoke p95 sits on a session's first (largest) steps, where the
+    # propose work outside the memoised kernel weighs more.
+    Row("plan", "plan_cache_warm_p95",
+        ratio("acceptance.plan_cache_cold_p95_ms", "acceptance.plan_cache_warm_p95_ms"),
+        ">=", 1.5, 3.0),
+    Row("plan", "plan_cache_counter_identity", counter_identity, "==", True, True),
+    Row("plan", "speculation_p95",
+        ratio("acceptance.speculation_p95_with_ms",
+              "acceptance.speculation_p95_without_ms"), "<", None, 1.0),
+    Row("service", "index_cache_hit_ratio", index_hit_ratio, ">", 0.9, 0.9),
+    Row("service", "kernel_batch_coalesced", largest_batch, ">=", 2, 2),
+    Row("service", "speculation_depth2_reported", depth2_reported, "==", True, True),
+    # The 16-session smoke has fewer samples per percentile.
+    Row("store", "journal_overhead_p95", journal_overhead_pct, "<", 25.0, 15.0),
+    Row("store", "crash_recovery_identical",
+        flags("acceptance.crash_recovery_identical"), "==", True, True),
+    # Runner speeds differ; an order of magnitude is a real regression.
+    Row("store", "rehydrate_p95_vs_baseline",
+        vs_baseline("acceptance.rehydrate_p95_ms"), "<=", 10.0, 10.0),
+    Row("fleet", "scaling_vs_cores", scaling_per_worker, ">=", 0.75, 0.75),
+    # Extra workers on the same cores may cost throughput, not collapse.
+    Row("fleet", "oversubscription_bounded", oversubscribed_speedup, ">=", 0.25, 0.25),
+    Row("fleet", "recovery_parity", flags("acceptance.recovery_parity"), "==", True, True),
+    Row("fleet", "scaling_parity", flags("acceptance.scaling_parity"), "==", True, True),
+    Row("fleet", "takeover_vs_baseline",
+        vs_baseline("acceptance.takeover_seconds"), "<=", 10.0, 10.0),
+    # One machine-wide copy, not one per worker.  Smoke indexes are
+    # ~1 KB, where each segment's header and alignment weigh more.
+    Row("fleet", "shared_index_memory",
+        on_plane("shared_index", ratio("shared_index.fleet_resident_bytes",
+                                       "shared_index.single_resident_bytes")),
+        "<=", 3.0, 1.5),
+    # Smoke builds are ~6x smaller, so HTTP round trips are a larger
+    # slice of each create.
+    Row("fleet", "shared_index_attach_speedup",
+        on_plane("shared_index", ratio("shared_index.private_build_latency.p95_ms",
+                                       "shared_index.attach_latency.p95_ms")),
+        ">=", 1.5, 5.0),
+    Row("fleet", "shared_index_no_leaks",
+        on_plane("shared_index", at("shared_index.leaked_segments")), "==", [], []),
+    Row("fleet", "plan_cross_worker_hits",
+        on_plane("plan_cache", cross_worker_hits), ">=", 1, 1),
+    Row("fleet", "plan_no_leaked_segments",
+        on_plane("plan_cache", at("plan_cache.leaked_segments")), "==", [], []),
+    Row("stream", "streamed_beats_polled_p50",
+        ratio("latency.streamed_question_latency.p50_ms",
+              "latency.polled_question_latency.p50_ms"), "<", 1.0, 1.0),
+    Row("stream", "stream_parity",
+        flags("latency.parity.checked", "acceptance.stream_parity"), "==", True, True),
+    Row("stream", "fanout_subscribers", at("fanout.subscribers"), ">=", 64, 64),
+    # A smoke p95 is over ~39 answers, fewer than a tail percentile needs.
+    Row("stream", "fanout_overhead_p95", fanout_overhead, "either <",
+        (75.0, 4.0), (25.0, 2.0)),
+    Row("stream", "fanout_parity", flags("fanout.parity_checked"), "==", True, True),
+    Row("stream", "no_dropped_events", at("fanout.events_dropped"), "==", 0, 0),
+]
+
+SUITES = sorted({row.suite for row in TABLE})
+
+
 def run_suite(suite: str, report: dict, baseline: dict) -> list[Gate]:
-    """All gates of one suite; unknown suite names raise ``KeyError``."""
-    return SUITES[suite](report, baseline)
+    """Every gate of one suite at the report's scale.  Raises
+    ``KeyError`` for an unknown suite and ``ValueError`` for a report
+    without a boolean ``meta.smoke``."""
+    if suite not in SUITES:
+        raise KeyError(suite)
+    smoke = get(report, "meta.smoke")
+    if not isinstance(smoke, bool):
+        raise ValueError("the report has no boolean meta.smoke")
+    return [
+        gate
+        for row in TABLE
+        if row.suite == suite
+        for gate in row.gates(report, baseline, smoke)
+    ]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--suite", required=True, choices=SUITES)
     parser.add_argument(
-        "--suite", required=True, choices=sorted(SUITES)
+        "--report", required=True, type=Path,
+        help="the JSON report to gate (a --smoke run or a full run)",
     )
     parser.add_argument(
-        "--report",
-        required=True,
-        type=Path,
-        help="the --smoke JSON report to gate",
-    )
-    parser.add_argument(
-        "--baseline",
-        required=True,
-        type=Path,
+        "--baseline", required=True, type=Path,
         help="the committed full-run baseline (BENCH_<suite>.json)",
     )
     args = parser.parse_args(argv)
     report = json.loads(args.report.read_text())
     baseline = json.loads(args.baseline.read_text())
-    gates = run_suite(args.suite, report, baseline)
-    failed = [gate for gate in gates if not gate.ok]
-    for gate in gates:
-        print(
-            f"[{'OK' if gate.ok else 'FAIL'}] {args.suite}/{gate.name}: "
-            f"{gate.detail}"
-        )
-    if failed:
-        print(
-            f"{len(failed)}/{len(gates)} trajectory gates failed for "
-            f"suite {args.suite!r}"
-        )
+    try:
+        gates = run_suite(args.suite, report, baseline)
+    except ValueError as error:
+        print(f"{args.report}: {error}")
         return 1
-    print(f"all {len(gates)} trajectory gates hold for {args.suite!r}")
+    for gate in gates:
+        status = "SKIP" if gate.skipped else "OK" if gate.ok else "FAIL"
+        print(f"[{status}] {args.suite}/{gate.name}: {gate.detail}")
+    cores = get(report, "meta.cpu_count")
+    where = (
+        f"{args.suite!r} at {'smoke' if report['meta']['smoke'] else 'full'}"
+        f" scale, {'unrecorded' if cores is None else cores} core(s)"
+    )
+    failed = [gate for gate in gates if not gate.ok]
+    if failed:
+        print(f"{len(failed)}/{len(gates)} trajectory gates failed for {where}")
+        return 1
+    print(f"all {len(gates)} trajectory gates hold for {where}")
     return 0
 
 

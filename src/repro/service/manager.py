@@ -1700,55 +1700,48 @@ class SessionManager:
         """Drop a session — and, when a store is attached, forget its
         durable state too; unknown ids raise :class:`NotFound`.  The
         store existence probe for a non-live id is a writer job, so it
-        never stalls the event loop and it sees a queued delete of the
-        id: a second delete raises."""
-        if self._delete_live(session_id):
-            return
-        if self.store is not None and await self._on_writer(
-            self.store.__contains__, session_id
-        ):
-            # A touch may have rehydrated it while the probe ran.
-            if not self._delete_live(session_id):
-                self._delete_stored(session_id)
-            return
-        raise NotFound(f"no session {session_id!r}")
-
-    def _delete_live(self, session_id: str) -> bool:
-        """Drop the live session, if any; True when one was dropped."""
+        never stalls the event loop and it sees an earlier delete of
+        the id: a second delete raises.  The row delete is awaited
+        behind every op the session queued, so ``session_deleted`` is
+        published only once it has committed, and a failed delete is
+        counted in ``flush_errors`` and raised with every acknowledged
+        answer still in the row."""
         managed = self._sessions.pop(session_id, None)
         if managed is None:
-            return False
+            if self.store is None or not await self._on_writer(
+                self.store.__contains__, session_id
+            ):
+                raise NotFound(f"no session {session_id!r}")
+            # A touch may have rehydrated it while the probe ran.
+            managed = self._sessions.pop(session_id, None)
+        if managed is None:
+            if session_id in self._rehydrating:
+                # A touch is replaying this session right now; mark it
+                # so the rehydrate task refuses to admit it.
+                self._rehydrate_tombstones.add(session_id)
+            self._demoted.discard(session_id)
+            await self._on_writer(self._delete_row, session_id)
+            self.events.publish(
+                session_id,
+                "session_deleted",
+                {"session_id": session_id, "stored": True},
+            )
+            return
         self._drop_speculation(managed)
         if managed.durable:
-            # Stop journaling first so a queued flush cannot resurrect
-            # the row; the delete runs on the writer thread *behind*
-            # any in-flight flush (single writer, FIFO).
-            with managed.store_lock:
-                managed.store_ops.clear()
+            # Journal no more answers; the ones queued commit first.
             managed.durable = False
-            self._forget_stored(session_id)
+            await self._on_writer(self._delete_row, session_id)
         self._publish_lifecycle(managed, "session_deleted")
-        return True
 
-    def _delete_stored(self, session_id: str) -> None:
-        """Forget a demoted / crash-orphaned session."""
-        if session_id in self._rehydrating:
-            # A touch is replaying this session right now; mark it so
-            # the rehydrate task refuses to admit it.
-            self._rehydrate_tombstones.add(session_id)
-        self._forget_stored(session_id)
-        self.events.publish(
-            session_id,
-            "session_deleted",
-            {"session_id": session_id, "stored": True},
-        )
-
-    def _forget_stored(self, session_id: str) -> None:
-        """Queue the store delete on the writer, behind any in-flight
-        flush and ahead of every later store call, so a lookup right
-        after the DELETE cannot load the row."""
-        self._demoted.discard(session_id)
-        self._store_executor.submit(self.store.delete, session_id)
+    def _delete_row(self, session_id: str) -> None:
+        """Delete a stored session (writer thread, so behind every op
+        queued before it); a failure is counted and raised."""
+        try:
+            self.store.delete(session_id)
+        except Exception:
+            self._store_errors += 1
+            raise
 
     def list_sessions(self) -> list[ManagedSession]:
         """All live sessions, oldest first."""

@@ -97,6 +97,13 @@ class _SlowDeleteStore(SqliteSessionStore):
         super().delete(session_id)
 
 
+class _FailingDeleteStore(SqliteSessionStore):
+    """Every row delete fails, standing in for a store that is down."""
+
+    def delete(self, session_id):
+        raise StoreError("disk I/O error")
+
+
 class _SlowAppendStore(SqliteSessionStore):
     """Journal appends take 0.3 s, standing in for a busy writer."""
 
@@ -439,6 +446,32 @@ class TestManagerJournaling:
         assert managed.session_id not in store
         assert counts["demoted"] == 0
         store.close()
+
+    @pytest.mark.parametrize("demote", [False, True], ids=["live", "demoted"])
+    def test_failed_delete_is_an_error_and_keeps_every_answer(
+        self, tmp_path, demote
+    ):
+        """A store delete that fails reaches the caller and is counted,
+        and a later touch sees every acknowledged answer."""
+        store = _FailingDeleteStore(str(tmp_path / "s.db"))
+        manager = make_manager(store=store)
+        managed = asyncio.run(
+            manager.create_async(
+                inline_spec(boundary_instance(2, 2, rows=4, seed=3))
+            )
+        )
+        drive(manager, managed, BiasedCoin(1), limit=1)
+        if demote:
+            manager.demote(managed.session_id)
+        try:
+            with pytest.raises(StoreError):
+                asyncio.run(manager.delete_async(managed.session_id))
+            assert manager.stats()["store"]["flush_errors"] == 1
+            touched = asyncio.run(manager.get_async(managed.session_id))
+            assert touched.session.state.interaction_count == 1
+        finally:
+            manager.close(wait=True)
+            store.close()
 
 
 # --- demote / rehydrate ------------------------------------------------------

@@ -7,6 +7,7 @@ harnesses."""
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -51,8 +52,9 @@ class TestLatencySummary:
 class TestBenchMeta:
     def test_common_header_fields(self):
         meta = bench_util.bench_meta()
-        assert set(meta) == {"created", "python", "machine"}
+        assert set(meta) == {"created", "python", "machine", "cpu_count"}
         assert meta["created"].endswith("+00:00")
+        assert meta["cpu_count"] == os.cpu_count()
 
     def test_extras_append_after_header(self):
         meta = bench_util.bench_meta(smoke=True, transport="loopback")
@@ -60,6 +62,7 @@ class TestBenchMeta:
             "created",
             "python",
             "machine",
+            "cpu_count",
             "smoke",
             "transport",
         ]
